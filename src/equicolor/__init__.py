@@ -19,13 +19,13 @@ from .closed_forms import (
     kronecker_colorable,
     kronecker_verdict,
     multipartite_colorable,
+    multipartite_verdict,
     theta_balanced,
     theta_min,
     threshold_kronecker,
     threshold_multipartite,
 )
 from .construct import (
-    SizeWindowPlan,
     color_kronecker,
     color_multipartite,
     split_sizes,
@@ -78,7 +78,6 @@ __all__ = [
     "OracleBudget",
     "ParameterDomainError",
     "Params",
-    "SizeWindowPlan",
     "ThresholdCase",
     "ThresholdResult",
     "Trichotomy",
@@ -97,6 +96,7 @@ __all__ = [
     "kronecker_colorable",
     "kronecker_verdict",
     "multipartite_colorable",
+    "multipartite_verdict",
     "oracle_kronecker_colorable",
     "oracle_multipartite_colorable",
     "oracle_threshold",

@@ -13,11 +13,12 @@ for an instance that is not colorable, 5 internal invariant falsified
 (e.g. a constructed coloring failing its own verifier, or a sweep row
 contradicting the threshold-equality guarantee).
 
-Instances with m = 1 or n = 1 make one factor a single vertex, so the
-product graph has no edges.  The closed forms require 2 <= m, so the CLI
-answers those instances directly: threshold 1, every k >= 1 colorable,
-witnesses by near-even splitting.  The same convention applies to the
-one-part multipartite graph K_{1(n)}.
+Instances with m = 1 or n = 1 (and K_{1(n)}) are edgeless.  The library
+verdicts and the constructor handle them; only the closed-form thresholds
+require m >= 2, so ``threshold`` and ``table`` report 1 there.
+
+Inputs that would allocate or loop without bound are refused with exit 2
+before any work, by the MAX_* limits below.
 
 The environment variable ``EQUICOLOR_ORACLE_NODE_LIMIT`` overrides the
 default node cap used by ``decide --oracle``.
@@ -27,16 +28,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import replace
-from pathlib import Path
 from typing import Any
 
 from . import closed_forms as cf
 from .closed_forms import Params
-from .construct import color_kronecker, split_sizes
+from .construct import color_kronecker
 from .errors import (
     BudgetExceededError,
     ColoringFileError,
@@ -46,12 +47,10 @@ from .errors import (
     NotColorableError,
     ParameterDomainError,
 )
-from .files import format_coloring, parse_coloring, write_coloring
-from .grid import Coloring, Vertex, verify
+from .files import format_coloring, read_coloring, write_coloring
+from .grid import verify
 from .oracle import (
     DEFAULT_BUDGET,
-    Family,
-    OracleBudget,
     oracle_kronecker_colorable,
     oracle_multipartite_colorable,
 )
@@ -65,6 +64,18 @@ EXIT_NOT_COLORABLE = 4
 EXIT_INTERNAL = 5
 
 NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
+
+# Input limits.  A coloring holds one object per cell and per class (about
+# 110 MB of RSS at 10**6 cells); a table row costs one threshold per family.
+MAX_COLOR_CELLS = 10**6
+MAX_COLOR_K = 10**6
+MAX_TABLE_ROWS = 10**5
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ParameterDomainError(f"input limit {what} <= {limit}, got {value}")
+
 
 # One fixed schema covering every envelope this version emits.  Bump
 # SCHEMA_VERSION on any breaking change.
@@ -244,57 +255,42 @@ def _emit(envelope: dict[str, Any], fmt: str) -> None:
             print(f"{key}: {_render_value(value)}")
 
 
-def _edgeless(m: int, n: int) -> bool:
-    return min(m, n) == 1
-
-
 # ============================================================
 # Subcommand handlers
 # ============================================================
 
 
+def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
+    """The ``threshold`` result for one family, Kronecker oriented m <= n.
+
+    The closed-form thresholds require m >= 2; the edgeless m = 1
+    instances have threshold 1.
+    """
+    fields: dict[str, Any] = dict.fromkeys(
+        ["value", "case", "theta", "gamma", "trichotomy", "residue", "note"]
+    )
+    q = p.canonical() if family == "kronecker" else p
+    if q.m == 1:
+        fields.update(value=1, note="edgeless")
+        return fields
+    if family == "kronecker":
+        t = cf.threshold_kronecker(q)
+        g = t.gamma
+        fields.update(value=t.value, case=t.case.value, theta=t.theta)
+    else:
+        g = cf.gamma(q)
+        fields.update(
+            value=cf.threshold_multipartite(q), theta=cf.theta_balanced(q.n, q.r)
+        )
+    fields.update(gamma=g.value, trichotomy=g.trichotomy.value, residue=g.residue)
+    if q is not p:
+        fields["note"] = "factors swapped to m <= n"
+    return fields
+
+
 def _cmd_threshold(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "r": args.r, "family": args.family}
-    p = Params(args.m, args.n, args.r)
-    result: dict[str, Any] = {
-        "value": None,
-        "case": None,
-        "theta": None,
-        "gamma": None,
-        "trichotomy": None,
-        "residue": None,
-        "note": None,
-    }
-    if args.family == "kronecker":
-        if _edgeless(p.m, p.n):
-            result["value"] = 1
-            result["note"] = "edgeless"
-        else:
-            q = p.canonical()
-            t = cf.threshold_kronecker(q)
-            result.update(
-                value=t.value,
-                case=t.case.value,
-                theta=t.theta,
-                gamma=t.gamma.value,
-                trichotomy=t.gamma.trichotomy.value,
-                residue=t.gamma.residue,
-            )
-            if q is not p:
-                result["note"] = "factors swapped to m <= n"
-    else:
-        if p.m == 1:
-            result["value"] = 1
-            result["note"] = "edgeless"
-        else:
-            g = cf.gamma(p)
-            result.update(
-                value=cf.threshold_multipartite(p),
-                theta=cf.theta_balanced(p.n, p.r),
-                gamma=g.value,
-                trichotomy=g.trichotomy.value,
-                residue=g.residue,
-            )
+    result = _threshold_fields(Params(args.m, args.n, args.r), args.family)
     _emit(_envelope("threshold", params, result), args.format)
     return EXIT_OK
 
@@ -314,6 +310,13 @@ def _node_limit_from_env() -> int:
     return value
 
 
+# Per family: the closed-form verdict and the oracle that checks it.
+_DECIDERS = {
+    "kronecker": (cf.kronecker_verdict, oracle_kronecker_colorable),
+    "multipartite": (cf.multipartite_verdict, oracle_multipartite_colorable),
+}
+
+
 def _cmd_decide(args: argparse.Namespace) -> int:
     params = {
         "m": args.m,
@@ -324,34 +327,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         "oracle": args.oracle,
     }
     p = Params(args.m, args.n, args.r)
-    if not isinstance(args.k, int) or args.k < 1:
-        raise ParameterDomainError(f"k must be >= 1, got {args.k}")
-
-    if args.family == "kronecker":
-        oriented = p.canonical()
-        if _edgeless(p.m, p.n):
-            colorable, reason = True, "edgeless"
-        else:
-            colorable, reason = cf.kronecker_verdict(oriented, args.k)
-    else:
-        oriented = p  # K_{m(n)} is not symmetric in m and n
-        if p.m == 1:
-            colorable, reason = True, "edgeless"
-        elif args.k < p.m:
-            colorable, reason = False, cf.REASON_BELOW_CHROMATIC
-        elif cf.multipartite_colorable(p, args.k):
-            colorable, reason = True, cf.REASON_MULTIPARTITE_CONDITION
-        else:
-            colorable, reason = False, cf.REASON_MULTIPARTITE_FAILED
+    if args.family == "kronecker":  # K_{m(n)} is not symmetric in m and n
+        p = p.canonical()
+    verdict, oracle = _DECIDERS[args.family]
+    colorable, reason = verdict(p, args.k)
 
     result: dict[str, Any] = {"colorable": colorable, "reason": reason, "oracle": None}
     mismatch = False
     if args.oracle:
         budget = replace(DEFAULT_BUDGET, node_limit=_node_limit_from_env())
-        if args.family == "kronecker":
-            oracle_says = oracle_kronecker_colorable(oriented, args.k, budget)
-        else:
-            oracle_says = oracle_multipartite_colorable(oriented, args.k, budget)
+        oracle_says = oracle(p, args.k, budget)
         result["oracle"] = {
             "colorable": oracle_says,
             "agrees": oracle_says == colorable,
@@ -369,20 +354,6 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _edgeless_coloring(n: int, k: int, r: int) -> Coloring:
-    """Near-even k-coloring of the edgeless 1-by-n grid; gap <= 1 <= r."""
-    classes: list[tuple[Vertex, ...]] = []
-    if k <= n:
-        col = 1
-        for size in split_sizes(n, k, n // k, 1):
-            classes.append(tuple(Vertex(1, j) for j in range(col, col + size)))
-            col += size
-    else:
-        classes = [(Vertex(1, j),) for j in range(1, n + 1)]
-        classes.extend(() for _ in range(k - n))
-    return Coloring(1, n, tuple(classes))
-
-
 def _cmd_color(args: argparse.Namespace) -> int:
     params = {
         "m": args.m,
@@ -392,13 +363,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
         "out": args.out,
     }
     p = Params(args.m, args.n, args.r)
-    if not isinstance(args.k, int) or args.k < 1:
-        raise ParameterDomainError(f"k must be >= 1, got {args.k}")
+    _check_limit("m*n", p.m * p.n, MAX_COLOR_CELLS)
+    _check_limit("k", args.k, MAX_COLOR_K)
     q = p.canonical()
-    if _edgeless(q.m, q.n):
-        coloring = _edgeless_coloring(q.n, args.k, q.r)
-    else:
-        coloring = color_kronecker(q, args.k)
+    coloring = color_kronecker(q, args.k)
 
     report = verify(args.r, coloring)
     if not report.valid:
@@ -429,12 +397,11 @@ def _cmd_color(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = {"r": args.r, "file": args.file}
     try:
-        text = Path(args.file).read_text(encoding="ascii")
+        coloring = read_coloring(args.file)
     except OSError as exc:
         raise ParameterDomainError(f"cannot read {args.file}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ColoringFileError(f"file is not ASCII: {exc}", 1) from exc
-    coloring = parse_coloring(text)
     report = verify(args.r, coloring)
     result = {
         "valid": report.valid,
@@ -466,29 +433,19 @@ def _parse_range(text: str, name: str) -> range:
 
 
 def _table_row(m: int, n: int, r: int) -> dict[str, Any]:
+    kron = _threshold_fields(Params(m, n, r), "kronecker")
+    multi = _threshold_fields(Params(m, n, r), "multipartite")
     row: dict[str, Any] = {
         "m": m,
         "n": n,
         "r": r,
-        "kronecker": None,
-        "case": None,
-        "multipartite": None,
-        "equal": None,
+        "kronecker": kron["value"],
+        "case": kron["case"] or kron["note"],
+        "multipartite": multi["value"],
+        "equal": kron["value"] == multi["value"],
         "equ_bound": None,
         "equality_guaranteed": False,
     }
-    if _edgeless(m, n):
-        row["kronecker"] = 1
-        row["case"] = "edgeless"
-    else:
-        t = cf.threshold_kronecker(Params(m, n, r).canonical())
-        row["kronecker"] = t.value
-        row["case"] = t.case.value
-    if m == 1:
-        row["multipartite"] = 1
-    else:
-        row["multipartite"] = cf.threshold_multipartite(Params(m, n, r))
-    row["equal"] = row["kronecker"] == row["multipartite"]
     if m >= 2 and r >= 2:
         bound = cf.equ_bound(m, r)
         row["equ_bound"] = bound
@@ -506,6 +463,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
     r_range = _parse_range(args.r, "r")
+    count = math.prod(max(0, x.stop - x.start) for x in (m_range, n_range, r_range))
+    _check_limit("rows", count, MAX_TABLE_ROWS)
     rows = []
     for m in m_range:
         for n in n_range:
@@ -534,13 +493,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
+    return "" if value is None else _render_value(value)
 
 
 # ============================================================

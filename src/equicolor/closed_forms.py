@@ -1,7 +1,9 @@
 """Closed-form arithmetic for r-equitable chromatic thresholds.
 
 Two graph families are handled, both built from complete graphs on m and n
-vertices with 2 <= m (and m <= n where noted):
+vertices with 2 <= m (and m <= n where noted).  For m = 1 both graphs are
+edgeless; only the two verdicts accept that case, colorable for every k
+with the ``edgeless`` tag.
 
 * the Kronecker product K_m x K_n: vertices are the cells (i, j) of an
   m-by-n grid, and two cells are adjacent exactly when they differ in both
@@ -57,13 +59,14 @@ from enum import Enum
 from .errors import InternalCheckError, ParameterDomainError
 
 # ============================================================
-# Reason tags for single-k decisions (shared with the CLI)
+# Reason tags for single-k decisions
 # ============================================================
 
 REASON_BELOW_CHROMATIC = "below-chromatic"
 REASON_AT_OR_ABOVE_GAMMA = "at-or-above-gamma"
 REASON_MULTIPARTITE_CONDITION = "multipartite-condition"
 REASON_MULTIPARTITE_FAILED = "multipartite-condition-failed"
+REASON_EDGELESS = "edgeless"
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -221,9 +224,9 @@ class ThresholdResult:
 def threshold_multipartite(p: Params) -> int:
     """r-equitable chromatic threshold of K_{m(n)}: m*ceil(n/(theta+r)).
 
-    theta is theta_balanced(n, r).  Requires m >= 2 (m = 1 would be an
-    edgeless graph, which the CLI handles by convention instead).  Note
-    the asymmetry: K_{m(n)} has m parts of size n, so do not swap m and n.
+    theta is theta_balanced(n, r).  Requires m >= 2 (m = 1 is the edgeless
+    graph, whose threshold is 1).  Note the asymmetry: K_{m(n)} has m
+    parts of size n, so do not swap m and n.
     """
     _require(p.m >= 2, f"threshold_multipartite requires m >= 2, got m={p.m}")
     theta = theta_balanced(p.n, p.r)
@@ -263,52 +266,67 @@ def threshold_kronecker(p: Params) -> ThresholdResult:
 # ============================================================
 
 
-def multipartite_colorable(p: Params, k: int) -> bool:
-    """Is K_{m(n)} r-equitably k-colorable?
+def multipartite_verdict(p: Params, k: int) -> tuple[bool, str]:
+    """Decide r-equitable k-colorability of K_{m(n)}, with a reason tag.
 
-    True iff k >= m and ceil(n / (k // m)) - n // ceil(k / m) <= r: the
-    smallest class forced by giving some part only k // m colors must stay
-    within r of the largest class allowed when a part has ceil(k / m)
-    colors.  Requires m >= 2, k >= 1.
+    Requires k >= 1; any m, any orientation.  Colorable iff m = 1 (the
+    edgeless K_{1(n)}) or k >= m and
+    ceil(n / (k // m)) - n // ceil(k / m) <= r: the smallest class forced
+    by giving some part only k // m colors must stay within r of the
+    largest class allowed when a part has ceil(k / m) colors.  Tags:
+
+    * ``edgeless``: m = 1, colorable.
+    * ``below-chromatic``: k < m, not colorable.
+    * ``multipartite-condition``: k >= m and the condition holds.
+    * ``multipartite-condition-failed``: k >= m and it fails.
     """
-    _require(p.m >= 2, f"multipartite_colorable requires m >= 2, got m={p.m}")
     _require_int("k", k, 1)
+    if p.m == 1:
+        return True, REASON_EDGELESS
     if k < p.m:
-        return False
-    return ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) <= p.r
+        return False, REASON_BELOW_CHROMATIC
+    if ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) <= p.r:
+        return True, REASON_MULTIPARTITE_CONDITION
+    return False, REASON_MULTIPARTITE_FAILED
+
+
+def multipartite_colorable(p: Params, k: int) -> bool:
+    """Is K_{m(n)} r-equitably k-colorable?  Requires k >= 1."""
+    return multipartite_verdict(p, k)[0]
 
 
 def kronecker_verdict(p: Params, k: int) -> tuple[bool, str]:
     """Decide r-equitable k-colorability of K_m x K_n, with a reason tag.
 
-    Requires 2 <= m <= n, k >= 1.  The decision rule: colorable iff
-    k >= m (chromatic number) and either k >= gamma or the multipartite
-    size condition holds, since K_m x K_n inherits every K_{m(n)} coloring
-    and below gamma no other shape is available.  Tags:
+    Requires m <= n, k >= 1.  The decision rule: colorable iff m = 1 (the
+    product is edgeless) or k >= m (chromatic number) and either
+    k >= gamma or the multipartite size condition holds, since K_m x K_n
+    inherits every K_{m(n)} coloring and below gamma no other shape is
+    available.  Tags:
 
+    * ``edgeless``: m = 1, colorable.
     * ``below-chromatic``: k < m, not colorable.
     * ``at-or-above-gamma``: k >= gamma, colorable.
     * ``multipartite-condition``: m <= k < gamma, colorable via K_{m(n)}.
     * ``multipartite-condition-failed``: m <= k < gamma, not colorable.
     """
-    _require(p.m >= 2, f"kronecker_verdict requires m >= 2, got m={p.m}")
+    _require_int("k", k, 1)
+    if p.m == 1:
+        return True, REASON_EDGELESS
     _require(
         p.m <= p.n,
         f"kronecker_verdict requires the canonical orientation m <= n, "
         f"got m={p.m} n={p.n}",
     )
-    _require_int("k", k, 1)
     if k < p.m:
         return False, REASON_BELOW_CHROMATIC
     if k >= gamma(p).value:
         return True, REASON_AT_OR_ABOVE_GAMMA
-    if multipartite_colorable(p, k):
-        return True, REASON_MULTIPARTITE_CONDITION
-    return False, REASON_MULTIPARTITE_FAILED
+    return multipartite_verdict(p, k)
 
 
 def kronecker_colorable(p: Params, k: int) -> bool:
-    """Is K_m x K_n r-equitably k-colorable?  Requires 2 <= m <= n."""
+    """Is K_m x K_n r-equitably k-colorable?  Requires m <= n, k >= 1."""
     return kronecker_verdict(p, k)[0]
 
 

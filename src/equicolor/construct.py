@@ -34,14 +34,12 @@ Coordinates follow equicolor.grid: rows 1..m, columns 1..n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closed_forms import (
     Params,
     ceil_div,
     gamma,
     kronecker_verdict,
-    multipartite_colorable,
+    multipartite_verdict,
 )
 from .errors import (
     InfeasibleWindowError,
@@ -91,23 +89,6 @@ def split_sizes(total: int, count: int, lo: int, r: int) -> list[int]:
     return [base + 1] * extra + [base] * (count - extra)
 
 
-@dataclass(frozen=True)
-class SizeWindowPlan:
-    """A feasible split of ``total`` into ``count`` sizes within [lo, lo+r]."""
-
-    total: int
-    count: int
-    lo: int
-    r: int
-    sizes: tuple[int, ...]
-
-    @staticmethod
-    def make(total: int, count: int, lo: int, r: int) -> "SizeWindowPlan":
-        return SizeWindowPlan(
-            total, count, lo, r, tuple(split_sizes(total, count, lo, r))
-        )
-
-
 # ============================================================
 # Complete multipartite graphs
 # ============================================================
@@ -124,10 +105,11 @@ def color_multipartite(p: Params, k: int) -> Coloring:
     some classes come out empty, which is allowed.
 
     Raises:
-        NotColorableError: when ``multipartite_colorable(p, k)`` is false.
+        NotColorableError: when ``multipartite_verdict(p, k)`` is false;
+            the exception's ``reason`` is the verdict's tag.
     """
-    if not multipartite_colorable(p, k):
-        reason = "below-chromatic" if k < p.m else "multipartite-condition-failed"
+    ok, reason = multipartite_verdict(p, k)
+    if not ok:
         raise NotColorableError(
             f"K_{{{p.m}({p.n})}} has no {p.r}-equitable {k}-coloring "
             f"({reason})",
@@ -150,11 +132,12 @@ def color_multipartite(p: Params, k: int) -> Coloring:
 
 
 def color_kronecker(p: Params, k: int) -> Coloring:
-    """An r-equitable k-coloring of K_m x K_n (canonical 2 <= m <= n).
+    """An r-equitable k-coloring of K_m x K_n (canonical m <= n).
 
-    Dispatches on k as described in the module docstring.  The returned
-    coloring always has exactly k classes, every class inside one row or
-    one column, and size gap at most r.
+    Dispatches on k as described in the module docstring; the edgeless
+    1-by-n grid is the same graph as K_{1(n)} and is colored as such.
+    The returned coloring always has exactly k classes, every class
+    inside one row or one column, and size gap at most r.
 
     Raises:
         NotColorableError: when ``kronecker_colorable(p, k)`` is false;
@@ -167,6 +150,8 @@ def color_kronecker(p: Params, k: int) -> Coloring:
             f"({reason})",
             reason,
         )
+    if p.m == 1:
+        return color_multipartite(p, k)
     g = gamma(p).value
     if g > p.n:
         raise InternalCheckError(f"gamma {g} exceeds n for {p}")
@@ -192,10 +177,10 @@ def _columns_plus_row_splits(p: Params, k: int) -> Coloring:
     ]
     if s_eff > 0:
         # Same split works in every row: sizes in [m, m+r] by construction.
-        plan = SizeWindowPlan.make(n - c, s_eff, m, r)
+        sizes = split_sizes(n - c, s_eff, m, r)
         for i in range(1, m + 1):
             col = c + 1
-            for size in plan.sizes:
+            for size in sizes:
                 classes.append(
                     tuple(Vertex(i, j) for j in range(col, col + size))
                 )

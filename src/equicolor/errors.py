@@ -35,8 +35,8 @@ class InfeasibleWindowError(EquicolorError, ValueError):
 class NotColorableError(EquicolorError):
     """A witness coloring was requested for an instance that has none.
 
-    ``reason`` carries a short machine-readable tag explaining which
-    condition failed (``below-chromatic`` or ``multipartite-condition-failed``).
+    ``reason`` carries the failed verdict's machine-readable tag, one of
+    the ``REASON_*`` constants in :mod:`equicolor.closed_forms`.
     """
 
     def __init__(self, message: str, reason: str) -> None:

@@ -295,7 +295,7 @@ def oracle_multipartite_colorable(
     nodes = 0
     for empties in range(0, k - m + 1):
         ncls = k - empties
-        for counts in _count_multisets(ncls, m):
+        for counts in _count_multisets(ncls, m, ncls):
             nodes += 1
             if nodes > budget.node_limit:
                 raise BudgetExceededError(
@@ -314,21 +314,9 @@ def oracle_multipartite_colorable(
     return False
 
 
-def _count_multisets(total: int, parts: int):
-    """Yield non-increasing tuples of ``parts`` positive ints summing to
-    ``total``, most balanced first."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    first_lo = ceil_div(total, parts)
-    first_hi = total - (parts - 1)
-    for first in range(first_lo, first_hi + 1):
-        for rest in _count_multisets_capped(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _count_multisets_capped(total: int, parts: int, cap: int):
+def _count_multisets(total: int, parts: int, cap: int):
+    """Yield non-increasing tuples of ``parts`` positive ints, each at most
+    ``cap``, summing to ``total``, most balanced first."""
     if parts == 1:
         if 1 <= total <= cap:
             yield (total,)
@@ -336,7 +324,7 @@ def _count_multisets_capped(total: int, parts: int, cap: int):
     first_lo = ceil_div(total, parts)
     first_hi = min(cap, total - (parts - 1))
     for first in range(first_lo, first_hi + 1):
-        for rest in _count_multisets_capped(total - first, parts - 1, first):
+        for rest in _count_multisets(total - first, parts - 1, first):
             yield (first,) + rest
 
 

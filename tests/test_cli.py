@@ -4,11 +4,13 @@ Commands run in-process through ``main(argv)``; stdout is parsed and,
 for JSON output, validated against the published envelope schema.
 """
 
+import hashlib
 import json
 
 import jsonschema
 import pytest
 
+from equicolor import cli
 from equicolor.cli import (
     ENVELOPE_SCHEMA,
     EXIT_BUDGET,
@@ -337,6 +339,93 @@ def test_table_empty_range_is_empty_table(capsys):
 def test_table_rejects_bad_ranges(capsys):
     run(["table", "-m", "x", "-n", "3", "-r", "1"], capsys, expect=EXIT_USAGE)
     run(["table", "-m", "0..3", "-n", "3", "-r", "1"], capsys, expect=EXIT_USAGE)
+
+
+# ------------------------------------------------------------
+# input limits
+# ------------------------------------------------------------
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["color", "-m", "100000", "-n", "100000", "-r", "1", "-k", "5"],
+         "m*n <= 1000000"),
+        (["color", "-m", "2", "-n", "2", "-r", "1", "-k", "10000000000"],
+         "k <= 1000000"),
+        (["table", "-m", "1", "-n", "1..1000000000", "-r", "1"], "rows <= 100000"),
+    ],
+)
+def test_unbounded_inputs_are_refused_before_any_work(argv, limit, capsys,
+                                                     monkeypatch):
+    # The work itself is replaced, so a missing guard fails fast instead
+    # of allocating.
+    monkeypatch.setattr(cli, "color_kronecker", _reached)
+    monkeypatch.setattr(cli, "_table_row", _reached)
+    captured = run(argv, capsys, expect=EXIT_USAGE)
+    assert limit in captured.err
+
+
+def test_input_limits_are_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "color_kronecker", _reached)
+    monkeypatch.setattr(cli, "_table_row", _reached)
+    with pytest.raises(_Reached):
+        main(["color", "-m", "1000", "-n", "1000", "-r", "1",
+              "-k", str(cli.MAX_COLOR_K)])
+    with pytest.raises(_Reached):
+        main(["table", "-m", "1..10", "-n", "1..10000", "-r", "1"])
+
+
+# ------------------------------------------------------------
+# frozen surface
+# ------------------------------------------------------------
+
+# sha256 over every (argv, exit code, stdout, stderr) of the matrix below.
+# Any change to a verdict, reason tag, exit code, envelope or witness byte
+# moves it.
+CLI_SURFACE_DIGEST = "cd06744544d326f4cc8637086bbb2ba8c1c720547f90ddad191c33e4b17fcf42"
+
+
+def _surface_argvs():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for r in (1, 2):
+                mnr = ["-m", str(m), "-n", str(n), "-r", str(r)]
+                ks = [str(k) for k in range(0, m * n + 3)]
+                oracle = ["--oracle"] if m * n <= 12 else []
+                for fmt in ("json", "text"):
+                    tail = ["--format", fmt]
+                    for family in ("kronecker", "multipartite"):
+                        yield ["threshold", "--family", family, *mnr, *tail]
+                        for k in ks:
+                            yield ["decide", "--family", family, *mnr, "-k", k,
+                                   *oracle, *tail]
+                    for k in ks:
+                        yield ["color", *mnr, "-k", k, *tail]
+    for fmt in ("csv", "json"):
+        yield ["table", "-m", "1..3", "-n", "1..5", "-r", "1..2", "--format", fmt]
+
+
+def test_cli_surface_is_frozen(capsys, monkeypatch):
+    monkeypatch.delenv(NODE_LIMIT_ENV, raising=False)
+    # Building the argparse tree costs more than most commands; one
+    # parser serves every call.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest = hashlib.sha256()
+    for argv in _surface_argvs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == CLI_SURFACE_DIGEST
 
 
 # ------------------------------------------------------------

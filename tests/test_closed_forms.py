@@ -19,6 +19,7 @@ from equicolor.closed_forms import (
     kronecker_colorable,
     kronecker_verdict,
     multipartite_colorable,
+    multipartite_verdict,
     theta_balanced,
     theta_min,
     threshold_kronecker,
@@ -253,6 +254,24 @@ def test_kronecker_verdict_reason_tags():
     assert kronecker_verdict(p, 3) == (True, "multipartite-condition")
     assert kronecker_verdict(p, 4) == (False, "multipartite-condition-failed")
     assert kronecker_verdict(p, 5) == (True, "at-or-above-gamma")
+
+
+def test_multipartite_verdict_reason_tags():
+    p = Params(3, 5, 1)
+    assert multipartite_verdict(p, 2) == (False, "below-chromatic")
+    assert multipartite_verdict(p, 3) == (True, "multipartite-condition")
+    assert multipartite_verdict(p, 4) == (False, "multipartite-condition-failed")
+    p = Params(2, 10, 2)
+    assert multipartite_verdict(p, 1) == (False, "below-chromatic")
+    assert multipartite_verdict(p, 3) == (False, "multipartite-condition-failed")
+    assert multipartite_verdict(p, 4) == (True, "multipartite-condition")
+    assert multipartite_verdict(Params(1, 5, 1), 9) == (True, "edgeless")
+
+
+def test_verdicts_check_k_before_the_edgeless_answer():
+    for verdict in (kronecker_verdict, multipartite_verdict):
+        with pytest.raises(ParameterDomainError, match="k must be >= 1, got 0"):
+            verdict(Params(1, 4, 1), 0)
 
 
 @given(

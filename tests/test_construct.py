@@ -10,7 +10,6 @@ from equicolor.closed_forms import (
     multipartite_colorable,
 )
 from equicolor.construct import (
-    SizeWindowPlan,
     color_kronecker,
     color_multipartite,
     split_sizes,
@@ -64,12 +63,6 @@ def test_split_sizes_feasibility_iff_exhaustive():
                     else:
                         with pytest.raises(InfeasibleWindowError):
                             split_sizes(total, count, lo, r)
-
-
-def test_size_window_plan_records_inputs():
-    plan = SizeWindowPlan.make(10, 3, 3, 1)
-    assert plan.sizes == (4, 3, 3)
-    assert (plan.total, plan.count, plan.lo, plan.r) == (10, 3, 3, 1)
 
 
 # ------------------------------------------------------------
@@ -226,8 +219,8 @@ def test_scatter_layout_spot_instances(m, n, r, k):
 
 def test_color_kronecker_sound_on_small_box():
     # The full-scale sweep lives in the acceptance suite; this is the
-    # fast everyday version.
-    for m in range(2, 7):
+    # fast everyday version; m = 1 is the edgeless grid.
+    for m in range(1, 7):
         for n in range(m, 7):
             for r in range(1, 4):
                 p = Params(m, n, r)

@@ -12,7 +12,9 @@ import pytest
 from equicolor.closed_forms import (
     Params,
     kronecker_colorable,
+    kronecker_verdict,
     multipartite_colorable,
+    multipartite_verdict,
 )
 from equicolor.errors import BudgetExceededError, ParameterDomainError
 from equicolor.oracle import (
@@ -170,3 +172,16 @@ def test_oracles_agree_with_formulas_on_a_small_box():
             assert oracle_multipartite_colorable(p, k) == multipartite_colorable(
                 p, k
             )
+
+
+def test_edgeless_verdicts_agree_with_both_oracles():
+    # K_1 x K_n and K_{1(n)} are the same edgeless graph on n vertices.
+    for n in range(1, 13):
+        for r in range(1, 4):
+            for p in (Params(1, n, r), Params(n, 1, r)):
+                q = p.canonical()
+                for k in range(1, n + 2):
+                    assert kronecker_verdict(q, k) == (True, "edgeless")
+                    assert multipartite_verdict(q, k) == (True, "edgeless")
+                    assert oracle_kronecker_colorable(p, k) is True
+                    assert oracle_multipartite_colorable(q, k) is True
