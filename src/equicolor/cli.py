@@ -66,7 +66,8 @@ EXIT_INTERNAL = 5
 NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 
 # Input limits.  A coloring holds one object per cell and per class (about
-# 110 MB of RSS at 10**6 cells); a table row costs one threshold per family.
+# 110 MB of RSS at 10**6 cells), and verify allocates one counter per cell
+# of the file's grid; a table row costs one threshold per family.
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6
 MAX_TABLE_ROWS = 10**5
@@ -402,6 +403,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ParameterDomainError(f"cannot read {args.file}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ColoringFileError(f"file is not ASCII: {exc}", 1) from exc
+    _check_limit("m*n", coloring.m * coloring.n, MAX_COLOR_CELLS)
     report = verify(args.r, coloring)
     result = {
         "valid": report.valid,

@@ -163,6 +163,14 @@ def gamma(p: Params) -> GammaResult:
 # ============================================================
 
 
+def _least_balanced(n: int, r: int, start: int) -> int:
+    """Least theta >= start passing the theta_balanced test (theta = n does)."""
+    theta = start
+    while not (n // (theta + 1) < ceil_div(n, theta + r)):
+        theta += 1
+    return theta
+
+
 def theta_balanced(n: int, r: int) -> int:
     """Least theta >= 1 with n // (theta+1) < ceil(n / (theta+r)).
 
@@ -174,10 +182,7 @@ def theta_balanced(n: int, r: int) -> int:
     """
     _require_int("n", n, 1)
     _require_int("r", r, 1)
-    theta = 1
-    while not (n // (theta + 1) < ceil_div(n, theta + r)):
-        theta += 1
-    return theta
+    return _least_balanced(n, r, 1)
 
 
 def theta_min(p: Params) -> int:
@@ -185,20 +190,14 @@ def theta_min(p: Params) -> int:
 
     The extra requirement is m * ceil(n / (theta+r)) <= gamma(p): the class
     count the scan would propose must not overshoot the always-achievable
-    bound.  Requires 2 <= m <= n.  Terminates for the same reason as
-    theta_balanced does, because m * ceil(n / (n+r)) = m <= gamma.
+    bound.  Requires 2 <= m <= n.  The cap holds exactly from
+    theta = ceil(n / (gamma // m)) - r on, so the balanced scan starts
+    there (or at 1); it ends by theta = n, where the cap reads m <= gamma.
     """
     _require(p.m >= 2, f"theta_min requires m >= 2, got m={p.m}")
     _require(p.m <= p.n, f"theta_min requires m <= n, got m={p.m} n={p.n}")
-    cap = gamma(p).value
-    theta = 1
-    while True:
-        balanced = p.n // (theta + 1) < ceil_div(p.n, theta + p.r)
-        if balanced and p.m * ceil_div(p.n, theta + p.r) <= cap:
-            return theta
-        theta += 1
-        if theta > p.n + p.r:  # unreachable; documented terminator
-            raise InternalCheckError(f"theta_min scan ran away for {p}")
+    start = ceil_div(p.n, gamma(p).value // p.m) - p.r
+    return _least_balanced(p.n, p.r, max(1, start))
 
 
 # ============================================================

@@ -6,28 +6,26 @@ is no third outcome.  Constructions are deterministic: ties are broken
 lowest-index-first, so identical inputs always produce byte-identical
 colorings after serialization.
 
-The product-graph constructor picks one of four shapes depending on where
-k falls relative to gamma = gamma(m, n, r), n and m*n:
+Four plans, one realizer.  Every class lies inside one row or one column,
+and a witness is fixed by a plan (b, C, G): base class size b, C cells
+that rows hand over to column classes, G column classes.  The product
+constructor picks the plan by where k falls relative to gamma =
+gamma(m, n, r), n and m*n, and :func:`_realize` places the classes:
 
-* m <= k < gamma: reuse the multipartite coloring (classes inside rows);
-  the decision rule guarantees the multipartite size condition holds here.
-* gamma <= k <= n: c = k - m*s' full columns plus, in every row, a
-  near-even split of the remaining n - c cells into s' classes of sizes
-  in [m, m+r], where s = n // (m+r) and s' is s, or s+1 when the residue
+* m <= k < gamma, and every K_{m(n)}: multipartite rows,
+  b = n // ceil(k/m), C = G = 0; the decision rule guarantees the
+  multipartite size condition.  b = 0 (when ceil(k/m) > n) leaves the
+  per-row class count unbounded, so k > m*n gives empty classes.
+* gamma <= k <= n: columns plus row splits, b = m, C = c*m, G = c: c =
+  k - m*s' full columns, and every row split into s' classes of sizes in
+  [m, m+r], where s = n // (m+r) and s' is s, or s+1 when the residue
   n mod (m+r) exceeds m.  This is the construction that witnesses gamma.
-* n < k <= m*n: single rows are too short to split on their own, so the
-  rows hand some cells over to column classes.  A deterministic scan
-  picks a base size b (largest first) and a columnar cell total C
-  (smallest first): every row donates floor(C/m) or ceil(C/m) cells, G
-  column classes with balanced per-column class counts absorb them, and
-  each row splits its kept cells near-evenly.  Every class size lies in
-  [b, b+r].  Classes need not be contiguous - a class is any subset of
-  one row or one column - and that freedom is essential: some instances
-  (for example m=6, n=10, r=1, k=15) admit no coloring made of
-  contiguous runs.  C = 0 degenerates to the pure row-split layout,
-  which is therefore used whenever it can realize exactly k classes.
-* k > m*n: every cell becomes a singleton and the remaining k - m*n
-  classes stay empty; the size gap is 1 <= r.
+* n < k <= m*n: scatter, searched by :func:`_scatter_layout`.  Classes
+  need not be contiguous - a class is any subset of one row or one
+  column - and that freedom is essential: some instances (for example
+  m=6, n=10, r=1, k=15) admit no coloring made of contiguous runs.
+* k > m*n: singletons; every cell is its own class and the remaining
+  k - m*n classes stay empty, last (the size gap is 1 <= r).
 
 Coordinates follow equicolor.grid: rows 1..m, columns 1..n.
 """
@@ -115,15 +113,7 @@ def color_multipartite(p: Params, k: int) -> Coloring:
             f"({reason})",
             reason,
         )
-    base, extra = divmod(k, p.m)
-    classes: list[tuple[Vertex, ...]] = []
-    for i in range(1, p.m + 1):
-        colors_here = base + 1 if i <= extra else base
-        col = 1
-        for size in split_sizes(p.n, colors_here, p.n // colors_here, 1):
-            classes.append(tuple(Vertex(i, j) for j in range(col, col + size)))
-            col += size
-    return Coloring(p.m, p.n, tuple(classes))
+    return _realize(p, k, p.n // ceil_div(k, p.m), 0, 0)
 
 
 # ============================================================
@@ -158,58 +148,27 @@ def color_kronecker(p: Params, k: int) -> Coloring:
     if k < g:
         return color_multipartite(p, k)
     if k <= p.n:
-        return _columns_plus_row_splits(p, k)
+        s = p.n // (p.m + p.r)
+        s_eff = s + 1 if p.n % (p.m + p.r) > p.m else s
+        c = k - p.m * s_eff
+        return _realize(p, k, p.m, c * p.m, c)
     if k <= p.m * p.n:
         return _scatter_layout(p, k)
     return _singletons(p, k)
 
 
-def _columns_plus_row_splits(p: Params, k: int) -> Coloring:
-    """The gamma <= k <= n shape: full columns plus equal row splits."""
-    m, n, r = p.m, p.n, p.r
-    s = n // (m + r)
-    s_eff = s + 1 if n % (m + r) > m else s
-    c = k - m * s_eff
-    if not 0 <= c <= n:
-        raise InternalCheckError(f"column count {c} out of range for {p}, k={k}")
-    classes: list[tuple[Vertex, ...]] = [
-        tuple(Vertex(i, j) for i in range(1, m + 1)) for j in range(1, c + 1)
-    ]
-    if s_eff > 0:
-        # Same split works in every row: sizes in [m, m+r] by construction.
-        sizes = split_sizes(n - c, s_eff, m, r)
-        for i in range(1, m + 1):
-            col = c + 1
-            for size in sizes:
-                classes.append(
-                    tuple(Vertex(i, j) for j in range(col, col + size))
-                )
-                col += size
-    elif c != n:
-        raise InternalCheckError(f"no row budget but {n - c} columns left for {p}")
-    return Coloring(m, n, tuple(classes))
-
-
 def _scatter_layout(p: Params, k: int) -> Coloring:
-    """The n < k <= m*n shape: column classes fed near-evenly by the rows.
+    """The n < k <= m*n plan: column classes fed near-evenly by the rows.
 
-    For a base size b (scanned from m*n // k, the largest min size any
-    k-class partition allows, down to 1) and a columnar cell total C
-    (scanned from 0 up), the plan is:
-
-    * every row donates floor(C/m) or ceil(C/m) of its cells to columns,
-      the larger donations coming from the highest row indexes;
-    * G column classes live on t = min(n, G) columns with balanced
-      per-column class counts, column j holding z_j cells with
-      g_j*b <= z_j <= min(g_j*(b+r), m);
-    * each row splits its kept cells into classes of sizes in [b, b+r].
-
-    Because the donations are near-even, any per-column load vector with
-    entries at most m can be realized by giving each column the rows
-    with the largest remaining donation budget, so feasibility reduces
-    to arithmetic on class-count intervals: the scan accepts the first
-    (b, C) for which some G fits both the column side and k - G fits the
-    row side.
+    Scans a base size b from m*n // k, the largest min size any k-class
+    partition allows, down to 1, and a columnar cell total C from 0 up;
+    C = 0 is the pure row-split layout, used whenever it can realize
+    exactly k classes.  Because the donations :func:`_realize` takes are
+    near-even, any per-column load vector with entries at most m can be
+    realized by giving each column the rows with the largest remaining
+    donation budget, so feasibility reduces to arithmetic on class-count
+    intervals: the scan accepts the first (b, C) for which some G fits
+    both the column side and k - G fits the row side.
     """
     m, n, r = p.m, p.n, p.r
     total = m * n
@@ -269,17 +228,32 @@ def _scatter_layout(p: Params, k: int) -> Coloring:
             g_ceil = min(cells // b, col_budget) if cells else 0
             col_cls = max(g_floor, k - p_hi)
             if col_cls <= g_ceil and p_lo <= k - col_cls:
-                return _build_scatter(p, k, b, cells, col_cls)
+                return _realize(p, k, b, cells, col_cls)
     raise InternalCheckError(
         f"no scatter layout found for {p}, k={k}; "
         f"the decision rule said this instance is colorable"
     )
 
 
-def _build_scatter(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
-    """Realize a scatter layout chosen by :func:`_scatter_layout`."""
+def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
+    """Place the k classes of the plan (b, C, G) = (b, cells, col_cls).
+
+    * G column classes live on t = min(n, G) columns with balanced
+      per-column class counts g_j; column j holds z_j cells with
+      g_j*b <= z_j <= min(g_j*(b+r), m), the loads filled left to right.
+    * Every row donates floor(C/m) or ceil(C/m) cells to those columns,
+      the larger donations coming from the highest row indexes.
+    * Each row takes the least class count its kept cells allow; the
+      other k - G row classes are dealt round-robin, lowest row first,
+      up to kept // b per row (no cap when b = 0).  Each row splits its
+      kept cells near-evenly, in column order, into sizes in [b, b+r].
+    """
     m, n, r = p.m, p.n, p.r
     w = b + r
+    if not (0 <= col_cls and col_cls * b <= cells <= m * n):
+        raise InternalCheckError(
+            f"plan b={b} C={cells} G={col_cls} out of range for {p}, k={k}"
+        )
 
     # Column side: balanced class counts, loads filled left to right.
     loads: list[int] = []
@@ -328,9 +302,8 @@ def _build_scatter(p: Params, k: int, b: int, cells: int, col_cls: int) -> Color
 
     # Row side: distribute the remaining k - col_cls classes over rows,
     # lowest row index first, within each row's feasible count range.
-    lo_cnt = [ceil_div(x, w) if x else 0 for x in kept]
-    hi_cnt = [x // b if x else 0 for x in kept]
-    row_cls = lo_cnt[:]
+    row_cls = [ceil_div(x, w) for x in kept]
+    hi_cnt = [x // b if b else k for x in kept]
     need = (k - col_cls) - sum(row_cls)
     if need < 0:
         raise InternalCheckError(f"too few row classes needed for {p}, k={k}")

@@ -362,26 +362,36 @@ def _reached(*args):
         (["color", "-m", "2", "-n", "2", "-r", "1", "-k", "10000000000"],
          "k <= 1000000"),
         (["table", "-m", "1", "-n", "1..1000000000", "-r", "1"], "rows <= 100000"),
+        (["verify", "-r", "1", "{file}"], "m*n <= 1000000"),
     ],
 )
 def test_unbounded_inputs_are_refused_before_any_work(argv, limit, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch, tmp_path):
     # The work itself is replaced, so a missing guard fails fast instead
     # of allocating.
     monkeypatch.setattr(cli, "color_kronecker", _reached)
     monkeypatch.setattr(cli, "_table_row", _reached)
+    monkeypatch.setattr(cli, "verify", _reached)
+    path = tmp_path / "big.ec"
+    path.write_text("equicolor v1\nm=100000 n=100000 k=1\n1:\n")
+    argv = [str(path) if a == "{file}" else a for a in argv]
     captured = run(argv, capsys, expect=EXIT_USAGE)
     assert limit in captured.err
 
 
-def test_input_limits_are_inclusive(monkeypatch):
+def test_input_limits_are_inclusive(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "color_kronecker", _reached)
     monkeypatch.setattr(cli, "_table_row", _reached)
+    monkeypatch.setattr(cli, "verify", _reached)
     with pytest.raises(_Reached):
         main(["color", "-m", "1000", "-n", "1000", "-r", "1",
               "-k", str(cli.MAX_COLOR_K)])
     with pytest.raises(_Reached):
         main(["table", "-m", "1..10", "-n", "1..10000", "-r", "1"])
+    path = tmp_path / "at_limit.ec"
+    path.write_text("equicolor v1\nm=1000 n=1000 k=1\n1:\n")
+    with pytest.raises(_Reached):
+        main(["verify", "-r", "1", str(path)])
 
 
 # ------------------------------------------------------------

@@ -150,6 +150,9 @@ def test_theta_min_at_least_theta_balanced_and_capped(m, nd, r):
     assert theta >= theta_balanced(n, r)
     assert n // (theta + 1) < ceil_div(n, theta + r)
     assert m * ceil_div(n, theta + r) <= gamma(p).value
+    for smaller in range(1, theta):
+        balanced = n // (smaller + 1) < ceil_div(n, smaller + r)
+        assert not (balanced and m * ceil_div(n, smaller + r) <= gamma(p).value)
 
 
 # ------------------------------------------------------------

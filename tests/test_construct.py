@@ -1,5 +1,7 @@
 """Unit tests for split_sizes and the witness constructors."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,3 +249,33 @@ def test_color_kronecker_deterministic():
 def test_color_kronecker_requires_canonical_orientation():
     with pytest.raises(ParameterDomainError):
         color_kronecker(Params(7, 3, 2), 5)
+
+
+# sha256 over every witness (as written by format_coloring) and every
+# refusal reason in the boxes below.  Any change to a witness byte moves it.
+WITNESS_DIGEST = "cf2919603c67c106b6a3dc366e3d628f4acd147309c47aa3bcda160757a9abf7"
+
+
+def _witness_records():
+    for m in range(1, 10):
+        for n in range(m, 10):
+            for r in range(1, 4):
+                for k in range(1, m * n + 3):
+                    yield color_kronecker, Params(m, n, r), k
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for r in range(1, 4):
+                for k in range(1, 2 * m * n + 4):
+                    yield color_multipartite, Params(m, n, r), k
+
+
+def test_witnesses_are_frozen():
+    digest = hashlib.sha256()
+    for constructor, p, k in _witness_records():
+        try:
+            text = format_coloring(constructor(p, k))
+        except NotColorableError as exc:
+            text = f"refused {exc.reason}\n"
+        digest.update(f"{constructor.__name__} {p.m} {p.n} {p.r} {k}\n".encode())
+        digest.update(text.encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
