@@ -48,8 +48,6 @@ from .grid import (
     Violation,
     ViolationKind,
     adjacent,
-    is_independent,
-    single_row_or_column,
     verify,
 )
 from .oracle import (
@@ -92,7 +90,6 @@ __all__ = [
     "equ_bound",
     "format_coloring",
     "gamma",
-    "is_independent",
     "kronecker_colorable",
     "kronecker_verdict",
     "multipartite_colorable",
@@ -102,7 +99,6 @@ __all__ = [
     "oracle_threshold",
     "parse_coloring",
     "read_coloring",
-    "single_row_or_column",
     "split_sizes",
     "theta_balanced",
     "theta_min",

@@ -71,11 +71,21 @@ NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6
 MAX_TABLE_ROWS = 10**5
+# A theta scan over factor size N with gap r takes about
+# min(N, isqrt(N*(r-1))) steps: at most 477 more over random N up to 10**9
+# and r <= 50, and theta = 46 for r = 1 at N near 9.4 * 10**18.  10**7
+# steps take about 1 s.
+MAX_THETA_STEPS = 10**7
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
     if value > limit:
         raise ParameterDomainError(f"input limit {what} <= {limit}, got {value}")
+
+
+def _theta_steps(m: int, n: int, r: int) -> int:
+    big = max(m, n)
+    return min(big, math.isqrt(big * (r - 1)))
 
 
 # One fixed schema covering every envelope this version emits.  Bump
@@ -291,7 +301,9 @@ def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     params = {"m": args.m, "n": args.n, "r": args.r, "family": args.family}
-    result = _threshold_fields(Params(args.m, args.n, args.r), args.family)
+    p = Params(args.m, args.n, args.r)
+    _check_limit("theta scan steps", _theta_steps(p.m, p.n, p.r), MAX_THETA_STEPS)
+    result = _threshold_fields(p, args.family)
     _emit(_envelope("threshold", params, result), args.format)
     return EXIT_OK
 
@@ -467,6 +479,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     r_range = _parse_range(args.r, "r")
     count = math.prod(max(0, x.stop - x.start) for x in (m_range, n_range, r_range))
     _check_limit("rows", count, MAX_TABLE_ROWS)
+    if count:
+        steps = _theta_steps(m_range[-1], n_range[-1], r_range[-1])
+        _check_limit("rows * theta scan steps", count * steps, MAX_THETA_STEPS)
     rows = []
     for m in m_range:
         for n in n_range:

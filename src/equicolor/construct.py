@@ -20,10 +20,11 @@ gamma(m, n, r), n and m*n, and :func:`_realize` places the classes:
   k - m*s' full columns, and every row split into s' classes of sizes in
   [m, m+r], where s = n // (m+r) and s' is s, or s+1 when the residue
   n mod (m+r) exceeds m.  This is the construction that witnesses gamma.
-* n < k <= m*n: scatter, searched by :func:`_scatter_layout`.  Classes
-  need not be contiguous - a class is any subset of one row or one
-  column - and that freedom is essential: some instances (for example
-  m=6, n=10, r=1, k=15) admit no coloring made of contiguous runs.
+* n < k <= m*n: scatter, b and C scanned, G computed, by
+  :func:`_scatter_layout`.  Classes need not be contiguous - a class is
+  any subset of one row or one column - and that freedom is essential:
+  some instances (for example m=6, n=10, r=1, k=15) admit no coloring
+  made of contiguous runs.
 * k > m*n: singletons; every cell is its own class and the remaining
   k - m*n classes stay empty, last (the size gap is 1 <= r).
 
@@ -168,71 +169,45 @@ def _scatter_layout(p: Params, k: int) -> Coloring:
     realized by giving each column the rows with the largest remaining
     donation budget, so feasibility reduces to arithmetic on class-count
     intervals: the scan accepts the first (b, C) for which some G fits
-    both the column side and k - G fits the row side.
+    both the column side and k - G fits the row side.  The least G that
+    carries C is computed, since the column load grows monotonically in G
+    and fills column by column (:func:`_least_column_classes`).
     """
     m, n, r = p.m, p.n, p.r
-    total = m * n
-    for b in range(total // k, 0, -1):
+    for b in range(m * n // k, 0, -1):
         w = b + r
-        gcap = m // b  # most classes one column can host
-        col_budget = n * gcap
-
-        def zmax(g: int) -> int:
-            return min(g * w, m)
-
-        def load_cap(count: int) -> int:
-            # Largest columnar cell total reachable with this many column
-            # classes, spread as evenly as possible over min(n, .) columns.
-            if count == 0:
-                return 0
-            t = min(n, count)
-            base, extra = divmod(count, t)
-            return extra * zmax(base + 1) + (t - extra) * zmax(base)
-
-        def least_column_classes(cells: int) -> int | None:
-            if cells == 0:
-                return 0
-            lo, hi = 1, col_budget
-            if load_cap(hi) < cells:
-                return None
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if load_cap(mid) >= cells:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-
-        def row_count_range(kept: int) -> tuple[int, int] | None:
-            if kept == 0:
-                return (0, 0)
-            lo, hi = ceil_div(kept, w), kept // b
-            return (lo, hi) if lo <= hi else None
-
-        for cells in range(0, total + 1):
+        col_budget = n * (m // b)  # a column hosts at most m // b classes
+        for cells in range(m * n + 1):
+            # A row keeping x cells takes ceil(x/w) to x//b classes.
             donate, d_extra = divmod(cells, m)
-            big = row_count_range(n - donate)  # m - d_extra such rows
-            if big is None:
-                continue
-            if d_extra:
-                small = row_count_range(n - donate - 1)
-                if small is None:
-                    continue
-                p_lo = (m - d_extra) * big[0] + d_extra * small[0]
-                p_hi = (m - d_extra) * big[1] + d_extra * small[1]
+            p_lo = p_hi = 0
+            for rows, kept in ((m - d_extra, n - donate), (d_extra, n - donate - 1)):
+                lo, hi = ceil_div(kept, w), kept // b
+                if rows and lo > hi:
+                    break
+                p_lo += rows * lo
+                p_hi += rows * hi
             else:
-                p_lo, p_hi = m * big[0], m * big[1]
-            g_floor = least_column_classes(cells)
-            if g_floor is None:
-                continue
-            g_ceil = min(cells // b, col_budget) if cells else 0
-            col_cls = max(g_floor, k - p_hi)
-            if col_cls <= g_ceil and p_lo <= k - col_cls:
-                return _realize(p, k, b, cells, col_cls)
+                # Also rejects C the columns cannot hold (least G > col_budget).
+                col_cls = max(_least_column_classes(cells, m, n, w), k - p_hi)
+                if col_cls <= min(cells // b, col_budget) and p_lo <= k - col_cls:
+                    return _realize(p, k, b, cells, col_cls)
     raise InternalCheckError(
         f"no scatter layout found for {p}, k={k}; "
         f"the decision rule said this instance is colorable"
     )
+
+
+def _least_column_classes(cells: int, m: int, n: int, w: int) -> int:
+    """Least G whose balanced column load (as :func:`_realize` places it,
+    classes of size at most w) reaches ``cells`` <= m*n.
+
+    With G = n*q + e, 0 <= e <= n, that load is n*min(q*w, m) +
+    e*(min((q+1)*w, m) - min(q*w, m)), non-decreasing in G.  As cells <=
+    m*n, the least G has q*w < m: q = (cells - 1) // (n*w), clamped at 0.
+    """
+    q = max(0, (cells - 1) // (n * w))
+    return n * q + ceil_div(cells - n * q * w, min((q + 1) * w, m) - q * w)
 
 
 def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:

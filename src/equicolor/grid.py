@@ -5,11 +5,12 @@ The vertex set of K_m x K_n is the m-by-n grid of cells (i, j) with
 format).  Two cells are adjacent exactly when they differ in both
 coordinates; consequently a set of cells is independent iff it fits in a
 single row or a single column.  Both characterizations are implemented:
-:func:`is_independent` checks pairs against the adjacency rule and
-:func:`single_row_or_column` checks the line structure, and the test
-suite asserts they agree on every subset of small grids.  The verifier
-deliberately uses the pairwise route only, so it cannot share a bug with
-construction code that thinks in rows and columns.
+:func:`is_independent` checks pairs against the adjacency rule (with the
+verifier's own loop) and :func:`single_row_or_column` checks the line
+structure, and the test suite asserts they agree on every subset of
+small grids.  The verifier deliberately uses the pairwise route only, so
+it cannot share a bug with construction code that thinks in rows and
+columns.
 
 A :class:`Coloring` is an ordered tuple of color classes; classes may be
 empty (size 0), which is how class counts beyond m*n stay meaningful.
@@ -48,13 +49,7 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
 
 def is_independent(vertices: Iterable[Vertex]) -> bool:
     """No two of the given cells are adjacent (pairwise, by definition)."""
-    vs = list(vertices)
-    for a in range(len(vs)):
-        ua = vs[a]
-        for b in range(a + 1, len(vs)):
-            if adjacent(ua, vs[b]):
-                return False
-    return True
+    return _first_adjacent_pair(tuple(vertices)) is None
 
 
 def single_row_or_column(vertices: Iterable[Vertex]) -> bool:

@@ -53,7 +53,8 @@ class OracleBudget:
 
     max_vertices: largest m*n the vertex search accepts.
     max_k: largest class count either oracle accepts.
-    node_limit: cap on backtracking nodes / candidate distributions.
+    node_limit: cap on backtracking nodes / (distribution, window base)
+        pairs.
     """
 
     max_vertices: int = 24
@@ -274,15 +275,17 @@ def oracle_multipartite_colorable(
     e >= 1 the window must start at a = 0, because size 0 participates in
     the gap.  This procedure examines candidate count distributions one
     by one (the acceptance predicate only sees the multiset, so ordered
-    arrangements of the same counts are not re-examined) — deliberately
-    not the closed-form inequality it is used to cross-check.
+    arrangements of the same counts are not re-examined) and, for each,
+    every window base a up to n // c_max — deliberately not the
+    closed-form inequality it is used to cross-check.
 
-    Unlike the vertex search this scales with m and k, not with n, so
-    there is no max_vertices cap here.
+    There is no max_vertices cap here; instead every (distribution,
+    window base) pair examined counts against node_limit, so the work,
+    which grows with n through the window bases, stays bounded.
 
     Raises:
         BudgetExceededError: k > budget.max_k, or more than
-            budget.node_limit distributions examined.
+            budget.node_limit (distribution, window base) pairs examined.
     """
     _check_k(k)
     if p.m < 1:
@@ -296,20 +299,18 @@ def oracle_multipartite_colorable(
     for empties in range(0, k - m + 1):
         ncls = k - empties
         for counts in _count_multisets(ncls, m, ncls):
-            nodes += 1
-            if nodes > budget.node_limit:
-                raise BudgetExceededError(
-                    f"examined more than node_limit = {budget.node_limit} "
-                    f"count distributions on m={m} n={n} r={r} k={k}",
-                    "node_limit",
-                )
             cmax, cmin = counts[0], counts[-1]
-            if empties == 0:
-                for a in range(0, n // cmax + 1):
-                    if n <= cmin * (a + r):
-                        return True
-            else:
-                if n <= cmin * r:
+            # With an empty class the window starts at a = 0.
+            for a in range(0, n // cmax + 1 if empties == 0 else 1):
+                nodes += 1
+                if nodes > budget.node_limit:
+                    raise BudgetExceededError(
+                        f"examined more than node_limit = {budget.node_limit} "
+                        f"(distribution, window base) pairs on "
+                        f"m={m} n={n} r={r} k={k}",
+                        "node_limit",
+                    )
+                if n <= cmin * (a + r):
                     return True
     return False
 

@@ -363,14 +363,20 @@ def _reached(*args):
          "k <= 1000000"),
         (["table", "-m", "1", "-n", "1..1000000000", "-r", "1"], "rows <= 100000"),
         (["verify", "-r", "1", "{file}"], "m*n <= 1000000"),
+        (["threshold", "--family", "multipartite", "-m", "2",
+          "-n", "1000000000000", "-r", "1000000000000"],
+         "theta scan steps <= 10000000"),
+        (["table", "-m", "2", "-n", "1..100000", "-r", "1000000"],
+         "rows * theta scan steps <= 10000000"),
     ],
 )
 def test_unbounded_inputs_are_refused_before_any_work(argv, limit, capsys,
                                                      monkeypatch, tmp_path):
     # The work itself is replaced, so a missing guard fails fast instead
-    # of allocating.
+    # of allocating or scanning.
     monkeypatch.setattr(cli, "color_kronecker", _reached)
     monkeypatch.setattr(cli, "_table_row", _reached)
+    monkeypatch.setattr(cli, "_threshold_fields", _reached)
     monkeypatch.setattr(cli, "verify", _reached)
     path = tmp_path / "big.ec"
     path.write_text("equicolor v1\nm=100000 n=100000 k=1\n1:\n")
@@ -382,12 +388,17 @@ def test_unbounded_inputs_are_refused_before_any_work(argv, limit, capsys,
 def test_input_limits_are_inclusive(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "color_kronecker", _reached)
     monkeypatch.setattr(cli, "_table_row", _reached)
+    monkeypatch.setattr(cli, "_threshold_fields", _reached)
     monkeypatch.setattr(cli, "verify", _reached)
     with pytest.raises(_Reached):
         main(["color", "-m", "1000", "-n", "1000", "-r", "1",
               "-k", str(cli.MAX_COLOR_K)])
     with pytest.raises(_Reached):
         main(["table", "-m", "1..10", "-n", "1..10000", "-r", "1"])
+    # isqrt(10**12 * 100) is exactly MAX_THETA_STEPS.
+    with pytest.raises(_Reached):
+        main(["threshold", "--family", "kronecker", "-m", "2",
+              "-n", "1000000000000", "-r", "101"])
     path = tmp_path / "at_limit.ec"
     path.write_text("equicolor v1\nm=1000 n=1000 k=1\n1:\n")
     with pytest.raises(_Reached):

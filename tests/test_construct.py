@@ -12,6 +12,7 @@ from equicolor.closed_forms import (
     multipartite_colorable,
 )
 from equicolor.construct import (
+    _least_column_classes,
     color_kronecker,
     color_multipartite,
     split_sizes,
@@ -212,6 +213,28 @@ def test_scatter_layout_spot_instances(m, n, r, k):
     assert c.k == k
     assert verify(r, c).valid
     assert all(single_row_or_column(cls) for cls in c.classes)
+
+
+def test_least_column_classes_matches_its_definition():
+    # The least G in [0, m*n] whose balanced load reaches C: t = min(n, G)
+    # columns get divmod(G, t) classes each, and a column with g classes
+    # holds min(g*w, m) cells.
+    def balanced_load(g_total, m, n, w):
+        if g_total == 0:
+            return 0
+        t = min(n, g_total)
+        base, extra = divmod(g_total, t)
+        return (extra * min((base + 1) * w, m)
+                + (t - extra) * min(base * w, m))
+
+    for m in range(1, 13):
+        for n in range(m, 13):
+            for w in range(1, 11):
+                loads = [balanced_load(g, m, n, w) for g in range(m * n + 1)]
+                for cells in range(m * n + 1):
+                    least = next(g for g, load in enumerate(loads) if load >= cells)
+                    assert _least_column_classes(cells, m, n, w) == least, (
+                        m, n, w, cells)
 
 
 # ------------------------------------------------------------

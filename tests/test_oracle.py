@@ -60,6 +60,11 @@ def test_node_limit_exhaustion_raises():
     with pytest.raises(BudgetExceededError) as exc:
         oracle_kronecker_colorable(Params(3, 4, 1), 4, strangled)
     assert exc.value.limit_name == "node_limit"
+    # Window bases count too: one distribution with n // 2 + 1 of them.
+    with pytest.raises(BudgetExceededError) as exc:
+        oracle_multipartite_colorable(Params(2, 10**12, 1), 4,
+                                      OracleBudget(node_limit=1000))
+    assert exc.value.limit_name == "node_limit"
 
 
 # ------------------------------------------------------------
