@@ -65,9 +65,10 @@ EXIT_INTERNAL = 5
 
 NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 
-# Input limits.  A coloring holds one object per cell and per class (about
-# 110 MB of RSS at 10**6 cells), and verify allocates one counter per cell
-# of the file's grid; a table row costs one threshold per family.
+# Input limits.  A coloring holds one object per cell and per class, and
+# verify allocates one counter per cell of the file's grid: at 10**6 cells
+# `color` peaks at 136-202 MB of RSS and `verify` at 149-286 MB, the most
+# for one 10**6-cell class.  A table row costs one threshold per family.
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6
 MAX_TABLE_ROWS = 10**5

@@ -4,13 +4,11 @@ The vertex set of K_m x K_n is the m-by-n grid of cells (i, j) with
 1 <= i <= m and 1 <= j <= n (1-based everywhere, matching the file
 format).  Two cells are adjacent exactly when they differ in both
 coordinates; consequently a set of cells is independent iff it fits in a
-single row or a single column.  Both characterizations are implemented:
-:func:`is_independent` checks pairs against the adjacency rule (with the
-verifier's own loop) and :func:`single_row_or_column` checks the line
-structure, and the test suite asserts they agree on every subset of
-small grids.  The verifier deliberately uses the pairwise route only, so
-it cannot share a bug with construction code that thinks in rows and
-columns.
+single row or a single column.  :func:`verify` judges each class in one
+pass anchored at its first cell and returns the same witness pair a
+scan of every pair in order would; the test suite keeps that pairwise
+scan and the one-row-or-one-column test as references and checks the
+verifier against both exhaustively on small grids.
 
 A :class:`Coloring` is an ordered tuple of color classes; classes may be
 empty (size 0), which is how class counts beyond m*n stay meaningful.
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import GridBoundsError, ParameterDomainError
 
@@ -45,26 +43,6 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
     Irreflexive and symmetric by construction.
     """
     return u[0] != v[0] and u[1] != v[1]
-
-
-def is_independent(vertices: Iterable[Vertex]) -> bool:
-    """No two of the given cells are adjacent (pairwise, by definition)."""
-    return _first_adjacent_pair(tuple(vertices)) is None
-
-
-def single_row_or_column(vertices: Iterable[Vertex]) -> bool:
-    """All cells share one row, or all share one column.
-
-    Equivalent to :func:`is_independent` on this graph; kept as a second,
-    structurally different route so the two can be checked against each
-    other.  Empty sets and singletons qualify trivially.
-    """
-    vs = list(vertices)
-    if len(vs) <= 1:
-        return True
-    rows = {v[0] for v in vs}
-    cols = {v[1] for v in vs}
-    return len(rows) == 1 or len(cols) == 1
 
 
 # ============================================================
@@ -117,9 +95,9 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
     Three independent checks, all always performed:
 
     * partition: every grid cell appears in exactly one class;
-    * independence: within each class, no two cells are adjacent
-      (checked pairwise against :func:`adjacent`'s rule, not via the
-      row/column shortcut);
+    * independence: within each class, no two cells are adjacent,
+      judged in one pass per class; an offending class is reported with
+      the first adjacent pair in pairwise order;
     * balance: max class size minus min class size is at most r, with
       empty classes counting as size 0.
 
@@ -162,8 +140,8 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
                 )
             )
 
-    # Independence check, pairwise by the adjacency rule.  One witness
-    # pair per offending class is enough to make the report actionable.
+    # Independence check.  One witness pair per offending class is enough
+    # to make the report actionable.
     for ci, cls in enumerate(coloring.classes):
         pair = _first_adjacent_pair(cls)
         if pair is not None:
@@ -200,11 +178,28 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
 def _first_adjacent_pair(
     cls: tuple[Vertex, ...]
 ) -> tuple[Vertex, Vertex] | None:
-    # Hot loop; the comparison is adjacent()'s rule inlined.
-    for a in range(len(cls)):
-        ra, ca = cls[a]
-        for b in range(a + 1, len(cls)):
-            rb, cb = cls[b]
-            if ra != rb and ca != cb:
-                return cls[a], cls[b]
-    return None
+    # The pair a scan of every (a, b), a < b, would return first, found in
+    # one pass.  Pairs (0, b) come first, so a cell off both lines of
+    # u = cls[0] pairs with u.  Otherwise each cell is u or on one line of
+    # it: the first cell off u's row and the first off u's column are the
+    # answer in class order, as every cell before them equals u.
+    if not cls:
+        return None
+    u = cls[0]
+    ru, cu = u
+    off_row = off_col = None
+    for v in cls:
+        rv, cv = v
+        if rv != ru:
+            if cv != cu:
+                return u, v
+            if off_row is None:
+                off_row = v
+        elif cv != cu and off_col is None:
+            off_col = v
+    if off_row is None or off_col is None:
+        return None
+    # No earlier cell equals either, so index() finds each one's position.
+    if cls.index(off_row) < cls.index(off_col):
+        return off_row, off_col
+    return off_col, off_row

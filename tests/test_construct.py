@@ -23,7 +23,12 @@ from equicolor.errors import (
     ParameterDomainError,
 )
 from equicolor.files import format_coloring
-from equicolor.grid import Vertex, single_row_or_column, verify
+from equicolor.grid import Vertex, verify
+
+
+def single_row_or_column(cls):
+    return len({v.row for v in cls}) <= 1 or len({v.col for v in cls}) <= 1
+
 
 # ------------------------------------------------------------
 # split_sizes
