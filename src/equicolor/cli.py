@@ -67,11 +67,17 @@ NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 
 # Input limits.  A coloring holds one object per cell and per class, and
 # verify allocates one counter per cell of the file's grid: at 10**6 cells
-# `color` peaks at 136-202 MB of RSS and `verify` at 149-286 MB, the most
-# for one 10**6-cell class.  A table row costs one threshold per family.
+# `color` peaks at 133-229 MB of RSS and `verify` at 133-187 MB, the most
+# for 10**6 one-cell classes.  A table row costs one threshold per family.
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6
 MAX_TABLE_ROWS = 10**5
+# `verify` refuses, before reading, any file larger than the largest one
+# `color` can write within those two limits.  Such a file holds every cell
+# once, so its size is fixed by m, n and k; it peaks at m = 1, n = 10**6,
+# k = 10**6 (or m and n swapped) with 18,777,829 bytes.  Without this a
+# 2x2 header could carry a class line of any length.
+MAX_VERIFY_BYTES = 18_777_829
 # A theta scan over factor size N with gap r takes about
 # min(N, isqrt(N*(r-1))) steps: at most 477 more over random N up to 10**9
 # and r <= 50, and theta = 46 for r = 1 at N near 9.4 * 10**18.  10**7
@@ -291,9 +297,8 @@ def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
         fields.update(value=t.value, case=t.case.value, theta=t.theta)
     else:
         g = cf.gamma(q)
-        fields.update(
-            value=cf.threshold_multipartite(q), theta=cf.theta_balanced(q.n, q.r)
-        )
+        theta = cf.theta_balanced(q.n, q.r)
+        fields.update(value=cf.threshold_at(q, theta), theta=theta)
     fields.update(gamma=g.value, trichotomy=g.trichotomy.value, residue=g.residue)
     if q is not p:
         fields["note"] = "factors swapped to m <= n"
@@ -411,6 +416,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = {"r": args.r, "file": args.file}
     try:
+        _check_limit("file bytes", os.stat(args.file).st_size, MAX_VERIFY_BYTES)
         coloring = read_coloring(args.file)
     except OSError as exc:
         raise ParameterDomainError(f"cannot read {args.file}: {exc}") from exc

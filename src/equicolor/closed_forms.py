@@ -228,7 +228,15 @@ def threshold_multipartite(p: Params) -> int:
     parts of size n, so do not swap m and n.
     """
     _require(p.m >= 2, f"threshold_multipartite requires m >= 2, got m={p.m}")
-    theta = theta_balanced(p.n, p.r)
+    return threshold_at(p, theta_balanced(p.n, p.r))
+
+
+def threshold_at(p: Params, theta: int) -> int:
+    """The threshold formula m*ceil(n/(theta+r)) at a given theta.
+
+    Both thresholds take this value at their theta (theta_balanced for
+    K_{m(n)}, theta_min for the product's otherwise branch).
+    """
     return p.m * ceil_div(p.n, theta + p.r)
 
 
@@ -256,8 +264,7 @@ def threshold_kronecker(p: Params) -> ThresholdResult:
         if ceil_div(p.n, s) - p.n // (s + 1) > p.r:
             return ThresholdResult(p.n - p.r * s, ThresholdCase.RESIDUE_SMALL_GAP, None, g)
     theta = theta_min(p)
-    value = p.m * ceil_div(p.n, theta + p.r)
-    return ThresholdResult(value, ThresholdCase.OTHERWISE, theta, g)
+    return ThresholdResult(threshold_at(p, theta), ThresholdCase.OTHERWISE, theta, g)
 
 
 # ============================================================

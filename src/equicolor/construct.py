@@ -33,6 +33,8 @@ Coordinates follow equicolor.grid: rows 1..m, columns 1..n.
 
 from __future__ import annotations
 
+from itertools import filterfalse, product, repeat
+
 from .closed_forms import (
     Params,
     ceil_div,
@@ -46,7 +48,7 @@ from .errors import (
     NotColorableError,
     ParameterDomainError,
 )
-from .grid import Coloring, Vertex
+from .grid import Coloring, Vertex, vertices
 
 # ============================================================
 # Size-window splitting
@@ -257,7 +259,8 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
     for j, (load, g) in enumerate(zip(loads, counts), start=1):
         # Loads are non-increasing, so taking the rows with the largest
         # remaining budget each time always succeeds (bipartite greedy).
-        order = sorted(range(m), key=lambda i: (-budget[i], i))
+        # A stable descending sort keeps equal budgets in row order.
+        order = sorted(range(m), key=budget.__getitem__, reverse=True)
         chosen = sorted(order[:load])
         for i in chosen:
             if budget[i] <= 0:
@@ -266,11 +269,10 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
                 )
             budget[i] -= 1
             drawn[i].add(j)
+        rows = [i + 1 for i in chosen]
         at = 0
         for size in split_sizes(load, g, b, r):
-            classes.append(
-                tuple(Vertex(i + 1, j) for i in chosen[at : at + size])
-            )
+            classes.append(tuple(vertices(zip(rows[at : at + size], repeat(j)))))
             at += size
     if any(budget):
         raise InternalCheckError(f"unplaced donations {budget} for {p}, k={k}")
@@ -291,25 +293,20 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         if need == before:
             raise InternalCheckError(f"row class counts stuck for {p}, k={k}")
     for i in range(1, m + 1):
-        own = [j for j in range(1, n + 1) if j not in drawn[i - 1]]
+        own = list(filterfalse(drawn[i - 1].__contains__, range(1, n + 1)))
         if len(own) != kept[i - 1]:
             raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
         at = 0
         if row_cls[i - 1]:
             for size in split_sizes(kept[i - 1], row_cls[i - 1], b, r):
-                classes.append(
-                    tuple(Vertex(i, j) for j in own[at : at + size])
-                )
+                classes.append(tuple(vertices(zip(repeat(i), own[at : at + size]))))
                 at += size
     return Coloring(m, n, tuple(classes))
 
 
 def _singletons(p: Params, k: int) -> Coloring:
     """The k > m*n shape: one cell per class, rest empty; gap is 1 <= r."""
-    classes: list[tuple[Vertex, ...]] = [
-        (Vertex(i, j),)
-        for i in range(1, p.m + 1)
-        for j in range(1, p.n + 1)
-    ]
-    classes.extend(() for _ in range(k - p.m * p.n))
+    cells = product(range(1, p.m + 1), range(1, p.n + 1))
+    classes: list[tuple[Vertex, ...]] = list(zip(vertices(cells)))
+    classes.extend(repeat((), k - p.m * p.n))
     return Coloring(p.m, p.n, tuple(classes))

@@ -13,33 +13,54 @@ LF; the parser accepts its absence but nothing else.  The parser checks
 structure and grid bounds only — semantic judgement (partition,
 independence, balance) belongs to :func:`equicolor.grid.verify`, and a
 file may well parse cleanly yet describe an invalid coloring.
+
+Both directions work in bulk string operations rather than a Python step
+per cell.  The writer fills one ``%``-template per 256 classes.  The
+parser reads the class lines in blocks of about ``_BLOCK_CHARS``
+characters, cut at a line end or else just before a cell, so a block's
+temporary strings stay small however long a line is.  A block is checked
+whole: each line must read ``<digits>:`` and then `` (<digits>,<digits>)``
+repeats, which holds exactly when its index is decimal and its body is
+its own number tokens put back into that template, every token decimal
+(the same grammar as ``^(\\d+):((?: \\(\\d+,\\d+\\))*)$``, without the
+backtracking state a regex keeps per vertex).  Indexes must run on, and
+the grid bounds are checked by ``min``/``max`` over the block.  If any
+check fails, the lines the block touches are checked one by one, so the
+error reported is the first a line-by-line reading meets: a malformed
+line, then an index out of order, then a vertex outside the grid.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, islice, repeat
 from pathlib import Path
 
-from .errors import ColoringFileError
-from .grid import Coloring, Vertex
+from .errors import ColoringFileError, InternalCheckError
+from .grid import Coloring, Vertex, vertices
 
 HEADER = "equicolor v1"
 
 _SIZE_LINE = re.compile(r"^m=(\d+) n=(\d+) k=(\d+)$")
-_CLASS_LINE = re.compile(r"^(\d+):((?: \(\d+,\d+\))*)$")
-_VERTEX = re.compile(r"\((\d+),(\d+)\)")
+_PUNCTUATION = str.maketrans("(,)", "   ")
+_BLOCK_END = re.compile(r"\n| \(")
+# About 900 cells: a block's tokens and ints then stay small next to the
+# coloring, and the per-block work is still a small share of the parse.
+_BLOCK_CHARS = 8192
+_FORMAT_CLASSES = 256
 
 
 def format_coloring(coloring: Coloring) -> str:
     """Serialize a coloring, normalizing vertex order within classes."""
     lines = [HEADER, f"m={coloring.m} n={coloring.n} k={coloring.k}"]
-    for index, cls in enumerate(coloring.classes, start=1):
-        if cls:
-            cells = " ".join(f"({i},{j})" for i, j in sorted(cls))
-            lines.append(f"{index}: {cells}")
-        else:
-            lines.append(f"{index}:")
-    return "\n".join(lines) + "\n"
+    for at in range(0, coloring.k, _FORMAT_CLASSES):
+        block = list(map(sorted, coloring.classes[at : at + _FORMAT_CLASSES]))
+        template = "\n".join(
+            [f"{index}:" + " (%s,%s)" * len(cls) for index, cls in enumerate(block, at + 1)]
+        )
+        lines.append(template % tuple(chain.from_iterable(chain.from_iterable(block))))
+    lines.append("")  # the final LF
+    return "\n".join(lines)
 
 
 def parse_coloring(text: str) -> Coloring:
@@ -49,52 +70,119 @@ def parse_coloring(text: str) -> Coloring:
         ColoringFileError: on any structural defect, with the 1-based
             line number of the first offending line.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # the canonical trailing LF
-    if not lines or lines[0] != HEADER:
+    end = len(text) - text.endswith("\n")  # the canonical trailing LF
+    size_at = (text.find("\n", 0, end) + 1) or end + 1
+    if text[: size_at - 1] != HEADER:
         raise ColoringFileError(f"expected header {HEADER!r}", 1)
-    if len(lines) < 2:
+    if size_at > end:
         raise ColoringFileError("missing size line 'm=<m> n=<n> k=<k>'", 2)
-    size_match = _SIZE_LINE.match(lines[1])
+    pos = (text.find("\n", size_at, end) + 1) or end + 1
+    size_line = text[size_at : pos - 1]
+    size_match = _SIZE_LINE.match(size_line)
     if size_match is None:
         raise ColoringFileError(
-            f"malformed size line {lines[1]!r}; expected 'm=<m> n=<n> k=<k>'", 2
+            f"malformed size line {size_line!r}; expected 'm=<m> n=<n> k=<k>'", 2
         )
     m, n, k = (int(g) for g in size_match.groups())
     if m < 1 or n < 1 or k < 1:
         raise ColoringFileError(f"m, n, k must all be >= 1, got m={m} n={n} k={k}", 2)
-    if len(lines) != 2 + k:
+    found = text.count("\n", pos, end) + 1 if pos <= end else 0
+    if found != k:
         raise ColoringFileError(
-            f"expected exactly {k} class lines for k={k}, found {len(lines) - 2}",
-            min(len(lines), 2 + k) + 1,
+            f"expected exactly {k} class lines for k={k}, found {found}",
+            min(found, k) + 3,
         )
     classes: list[tuple[Vertex, ...]] = []
-    for pos in range(k):
-        line_no = 3 + pos
-        line = lines[2 + pos]
-        class_match = _CLASS_LINE.match(line)
-        if class_match is None:
-            raise ColoringFileError(
-                f"malformed class line {line!r}; expected "
-                f"'<class-index>: (i,j) (i,j) ...'",
-                line_no,
-            )
-        index = int(class_match.group(1))
-        if index != pos + 1:
-            raise ColoringFileError(
-                f"class index {index} out of order; expected {pos + 1}", line_no
-            )
-        cells = []
-        for vm in _VERTEX.finditer(class_match.group(2)):
-            i, j = int(vm.group(1)), int(vm.group(2))
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise ColoringFileError(
-                    f"vertex ({i},{j}) outside the {m}x{n} grid", line_no
-                )
-            cells.append(Vertex(i, j))
-        classes.append(tuple(cells))
+    pending: list[Vertex] = []  # cells so far of a line a block cut short
+    inside = False  # whether the block at pos starts inside a line
+    while pos <= end:
+        cut_match = _BLOCK_END.search(text, min(pos + _BLOCK_CHARS, end), end)
+        cut = cut_match.start() if cut_match else end
+        cuts_line = text.startswith(" (", cut)
+        first = len(classes) + 1
+        segments = text[pos:cut].split("\n")
+        if inside:  # give the cut line its index back, so it reads as a line
+            segments[0] = f"{first}:" + segments[0]
+        parts = _block_classes(segments, first, m, n)
+        if parts is None:
+            start = text.rfind("\n", 0, pos) + 1
+            stop = text.find("\n", cut, end)
+            lines = text[start : stop if stop >= 0 else end].split("\n")
+            for index, line in enumerate(lines, first):
+                _check_line(line, index, m, n)
+            raise InternalCheckError(f"class lines from {first + 2} rejected only as a block")
+        pending += parts[0]
+        if len(parts) > 1 or not cuts_line:
+            parts[0] = tuple(pending)
+            pending = list(parts.pop()) if cuts_line else []
+            classes += parts
+        inside = cuts_line
+        pos = cut if cuts_line else cut + 1
     return Coloring(m, n, tuple(classes))
+
+
+def _block_classes(
+    lines: list[str], first: int, m: int, n: int
+) -> list[tuple[Vertex, ...]] | None:
+    """The cells of class lines first, first+1, ..., one tuple per line, or
+    None if a line is malformed, out of order or leaves the grid."""
+    heads, seps, bodies = zip(*map(str.partition, lines, repeat(":")))
+    counts = list(map(str.count, bodies, repeat("(")))
+    toks = _tokens(heads, seps, bodies, counts)
+    try:
+        if toks is None or list(map(int, heads)) != list(range(first, first + len(lines))):
+            return None
+        nums = list(map(int, toks))
+    except ValueError:  # a number too long for int(); _check_line finds it
+        return None
+    rows, cols = nums[0::2], nums[1::2]
+    if rows and not (1 <= min(rows) and max(rows) <= m and 1 <= min(cols) and max(cols) <= n):
+        return None
+    cells = vertices(zip(rows, cols))
+    return list(map(tuple, map(islice, repeat(cells), counts)))
+
+
+def _tokens(
+    heads: tuple[str, ...], seps: tuple[str, ...], bodies: tuple[str, ...], counts: list[int]
+) -> list[str] | None:
+    """The number tokens of class lines, or None if one breaks the grammar.
+
+    The lines come split by ``str.partition(":")``; ``counts`` holds the
+    opening parentheses of each body.
+    """
+    text = "\n".join(bodies)
+    toks = text.translate(_PUNCTUATION).split()
+    if (
+        2 * sum(counts) == len(toks)
+        and all(seps)
+        and all(map(str.isdecimal, heads))
+        and "\n".join(map(" (%s,%s)".__mul__, counts)) % tuple(toks) == text
+        and all(map(str.isdecimal, toks))
+    ):
+        return toks
+    return None
+
+
+def _check_line(line: str, index: int, m: int, n: int) -> None:
+    """Raise the first defect of class line ``index``, in the order a
+    line-by-line parse meets them: grammar, index, then each vertex."""
+    line_no = index + 2
+    head, sep, body = line.partition(":")
+    toks = _tokens((head,), (sep,), (body,), [body.count("(")])
+    if toks is None:
+        raise ColoringFileError(
+            f"malformed class line {line!r}; expected "
+            f"'<class-index>: (i,j) (i,j) ...'",
+            line_no,
+        )
+    if int(head) != index:
+        raise ColoringFileError(
+            f"class index {int(head)} out of order; expected {index}", line_no
+        )
+    nums = map(int, toks)
+    for i, j in zip(nums, nums):
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise ColoringFileError(f"vertex ({i},{j}) outside the {m}x{n} grid", line_no)
 
 
 def write_coloring(path: str | Path, coloring: Coloring) -> None:

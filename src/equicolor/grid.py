@@ -19,8 +19,10 @@ first.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import GridBoundsError, ParameterDomainError
@@ -35,6 +37,15 @@ class Vertex(NamedTuple):
 
     row: int
     col: int
+
+
+def vertices(pairs: Iterable[tuple[int, int]]) -> Iterator[Vertex]:
+    """``Vertex(i, j)`` for each ``(i, j)`` of ``pairs``, lazily.
+
+    ``tuple.__new__`` builds the same objects as the namedtuple's
+    Python-level ``__new__``, without a Python call per cell.
+    """
+    return map(tuple.__new__, repeat(Vertex), pairs)
 
 
 def adjacent(u: Vertex, v: Vertex) -> bool:

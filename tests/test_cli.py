@@ -68,6 +68,28 @@ def test_threshold_multipartite_json(capsys):
     assert env["result"]["theta"] == 5
 
 
+def test_multipartite_theta_is_scanned_once_per_threshold(capsys, monkeypatch):
+    calls = []
+    real = cli.cf.theta_balanced
+
+    def counted(n, r):
+        calls.append((n, r))
+        return real(n, r)
+
+    monkeypatch.setattr(cli.cf, "theta_balanced", counted)
+    env = run_json(
+        ["threshold", "--family", "multipartite", "-m", "2", "-n", "10", "-r", "2"],
+        capsys,
+    )
+    assert (env["result"]["value"], env["result"]["theta"]) == (4, 5)
+    assert calls == [(10, 2)]
+    calls.clear()
+    # Each row thresholds both families; only the multipartite one scans
+    # theta_balanced (the product's threshold scans theta_min).
+    env = run_json(["table", "-m", "2..3", "-n", "4..6", "-r", "1..2"], capsys)
+    assert len(env["result"]["rows"]) == 12 and len(calls) == 12
+
+
 def test_threshold_edgeless_m1(capsys):
     env = run_json(
         ["threshold", "--family", "kronecker", "-m", "1", "-n", "9", "-r", "1"],
@@ -401,6 +423,44 @@ def test_input_limits_are_inclusive(monkeypatch, tmp_path):
               "-n", "1000000000000", "-r", "101"])
     path = tmp_path / "at_limit.ec"
     path.write_text("equicolor v1\nm=1000 n=1000 k=1\n1:\n")
+    with pytest.raises(_Reached):
+        main(["verify", "-r", "1", str(path)])
+
+
+def _color_file_bytes(m, n, k):
+    """The size of any file `color` writes for (m, n, k): it holds every
+    cell once, so the size does not depend on the classes."""
+
+    def digits(x):  # total digits of 1..x
+        return sum((min(x, 10 * lo - 1) - lo + 1) * d
+                   for d, lo in enumerate((10**e for e in range(8)), 1) if lo <= x)
+
+    return (len(f"equicolor v1\nm={m} n={n} k={k}\n") + digits(k) + 2 * k
+            + 4 * m * n + n * digits(m) + m * digits(n))
+
+
+def test_verify_byte_limit_is_the_largest_color_file(tmp_path):
+    for m, n, r, k in [(1, 1, 1, 1), (2, 3, 1, 4), (3, 12, 2, 40), (4, 11, 1, 46)]:
+        path = tmp_path / "small.ec"
+        assert main(["color", "-m", str(m), "-n", str(n), "-r", str(r), "-k", str(k),
+                     "--out", str(path)]) == EXIT_OK
+        assert path.stat().st_size == _color_file_bytes(m, n, k)
+    # The size grows with n at fixed m and is symmetric in m and n, so it
+    # is largest at n = cells // m for some m <= n, that is m <= 1000.
+    cells, k = cli.MAX_COLOR_CELLS, cli.MAX_COLOR_K
+    largest = max(_color_file_bytes(m, cells // m, k) for m in range(1, 1001))
+    assert largest == _color_file_bytes(1, cells, k) == cli.MAX_VERIFY_BYTES
+
+
+def test_verify_refuses_files_over_the_byte_limit(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "read_coloring", _reached)
+    path = tmp_path / "big.ec"
+    with path.open("wb") as sparse:
+        sparse.truncate(cli.MAX_VERIFY_BYTES + 1)
+    captured = run(["verify", "-r", "1", str(path)], capsys, expect=EXIT_USAGE)
+    assert f"file bytes <= {cli.MAX_VERIFY_BYTES}, got {cli.MAX_VERIFY_BYTES + 1}" in captured.err
+    with path.open("r+b") as sparse:
+        sparse.truncate(cli.MAX_VERIFY_BYTES)
     with pytest.raises(_Reached):
         main(["verify", "-r", "1", str(path)])
 
