@@ -44,7 +44,6 @@ from .files import format_coloring, parse_coloring, read_coloring, write_colorin
 from .grid import (
     Coloring,
     VerificationReport,
-    Vertex,
     Violation,
     ViolationKind,
     adjacent,
@@ -59,7 +58,7 @@ from .oracle import (
     oracle_threshold,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BudgetExceededError",
@@ -80,7 +79,6 @@ __all__ = [
     "ThresholdResult",
     "Trichotomy",
     "VerificationReport",
-    "Vertex",
     "Violation",
     "ViolationKind",
     "adjacent",

@@ -47,7 +47,7 @@ from .errors import (
     NotColorableError,
     ParameterDomainError,
 )
-from .files import format_coloring, read_coloring, write_coloring
+from .files import format_coloring, parse_coloring, write_coloring
 from .grid import verify
 from .oracle import (
     DEFAULT_BUDGET,
@@ -72,11 +72,11 @@ NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6
 MAX_TABLE_ROWS = 10**5
-# `verify` refuses, before reading, any file larger than the largest one
-# `color` can write within those two limits.  Such a file holds every cell
-# once, so its size is fixed by m, n and k; it peaks at m = 1, n = 10**6,
-# k = 10**6 (or m and n swapped) with 18,777,829 bytes.  Without this a
-# 2x2 header could carry a class line of any length.
+# `verify` refuses a file (or pipe) with more bytes than the largest file
+# `color` can write within those two limits, reading at most one past it.
+# Such a file holds every cell once, so its size is fixed by m, n and k;
+# it peaks at m = 1, n = 10**6, k = 10**6 (or m and n swapped) with
+# 18,777,829 bytes.  Without this a 2x2 header could carry any length.
 MAX_VERIFY_BYTES = 18_777_829
 # A theta scan over factor size N with gap r takes about
 # min(N, isqrt(N*(r-1))) steps: at most 477 more over random N up to 10**9
@@ -413,15 +413,24 @@ def _cmd_color(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    params = {"r": args.r, "file": args.file}
+def _read_ascii(path: str) -> str:
+    """The file as ASCII text, no newlines translated, within the byte limit."""
     try:
-        _check_limit("file bytes", os.stat(args.file).st_size, MAX_VERIFY_BYTES)
-        coloring = read_coloring(args.file)
+        with open(path, "rb") as stream:
+            data = stream.read(MAX_VERIFY_BYTES + 1)
     except OSError as exc:
-        raise ParameterDomainError(f"cannot read {args.file}: {exc}") from exc
+        raise ParameterDomainError(f"cannot read {path}: {exc}") from exc
+    _check_limit("file bytes", len(data), MAX_VERIFY_BYTES)
+    try:
+        return data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ColoringFileError(f"file is not ASCII: {exc}", 1) from exc
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    params = {"r": args.r, "file": args.file}
+    # Neither the bytes nor the text outlive the parse.
+    coloring = parse_coloring(_read_ascii(args.file))
     _check_limit("m*n", coloring.m * coloring.n, MAX_COLOR_CELLS)
     report = verify(args.r, coloring)
     result = {
@@ -446,8 +455,10 @@ def _parse_range(text: str, name: str) -> range:
         raise ParameterDomainError(
             f"{name} range must look like '4' or '2..40', got {text!r}"
         )
-    lo = int(match.group(1))
-    hi = int(match.group(2)) if match.group(2) is not None else lo
+    try:
+        lo, hi = int(match.group(1)), int(match.group(2) or match.group(1))
+    except ValueError:  # more digits than int() reads
+        raise ParameterDomainError(f"{name} range bound has too many digits") from None
     if lo < 1:
         raise ParameterDomainError(f"{name} range must start at >= 1, got {lo}")
     return range(lo, hi + 1)  # empty when hi < lo

@@ -48,7 +48,7 @@ from .errors import (
     NotColorableError,
     ParameterDomainError,
 )
-from .grid import Coloring, Vertex, vertices
+from .grid import Cell, Coloring
 
 # ============================================================
 # Size-window splitting
@@ -219,7 +219,13 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
       per-column class counts g_j; column j holds z_j cells with
       g_j*b <= z_j <= min(g_j*(b+r), m), the loads filled left to right.
     * Every row donates floor(C/m) or ceil(C/m) cells to those columns,
-      the larger donations coming from the highest row indexes.
+      the larger donations coming from the highest row indexes.  Column
+      j takes, in ascending order, the next z_j rows of one cyclic walk
+      over rows 1..m from row m - (C mod m) + 1 (row 1 if C mod m = 0).
+      These are the rows the greedy giving each column the rows with the
+      largest remaining budget (ties to the lowest row) picks: budgets
+      differ by at most 1, the larger held by the rows from the walk's
+      position to m, and every z_j <= m.
     * Each row takes the least class count its kept cells allow; the
       other k - G row classes are dealt round-robin, lowest row first,
       up to kept // b per row (no cap when b = 0).  Each row splits its
@@ -251,31 +257,22 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
             )
 
     # Row donations: near-even, the spares from the highest row indexes.
+    # ``walk`` is the 0-based row the donor walk takes next.
     donate, d_extra = divmod(cells, m)
-    budget = [donate] * (m - d_extra) + [donate + 1] * d_extra
-    kept = [n - y for y in budget]
+    kept = [n - donate] * (m - d_extra) + [n - donate - 1] * d_extra
     drawn: list[set[int]] = [set() for _ in range(m)]
-    classes: list[tuple[Vertex, ...]] = []
+    classes: list[tuple[Cell, ...]] = []
+    walk = m - d_extra
     for j, (load, g) in enumerate(zip(loads, counts), start=1):
-        # Loads are non-increasing, so taking the rows with the largest
-        # remaining budget each time always succeeds (bipartite greedy).
-        # A stable descending sort keeps equal budgets in row order.
-        order = sorted(range(m), key=budget.__getitem__, reverse=True)
-        chosen = sorted(order[:load])
-        for i in chosen:
-            if budget[i] <= 0:
-                raise InternalCheckError(
-                    f"row donation budget exhausted at column {j} for {p}, k={k}"
-                )
-            budget[i] -= 1
-            drawn[i].add(j)
-        rows = [i + 1 for i in chosen]
+        stop = walk + load
+        rows = [*range(1, stop - m + 1), *range(walk + 1, min(stop, m) + 1)]
+        walk = stop % m
+        for i in rows:
+            drawn[i - 1].add(j)
         at = 0
         for size in split_sizes(load, g, b, r):
-            classes.append(tuple(vertices(zip(rows[at : at + size], repeat(j)))))
+            classes.append(tuple(zip(rows[at : at + size], repeat(j))))
             at += size
-    if any(budget):
-        raise InternalCheckError(f"unplaced donations {budget} for {p}, k={k}")
 
     # Row side: distribute the remaining k - col_cls classes over rows,
     # lowest row index first, within each row's feasible count range.
@@ -299,7 +296,7 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         at = 0
         if row_cls[i - 1]:
             for size in split_sizes(kept[i - 1], row_cls[i - 1], b, r):
-                classes.append(tuple(vertices(zip(repeat(i), own[at : at + size]))))
+                classes.append(tuple(zip(repeat(i), own[at : at + size])))
                 at += size
     return Coloring(m, n, tuple(classes))
 
@@ -307,6 +304,6 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
 def _singletons(p: Params, k: int) -> Coloring:
     """The k > m*n shape: one cell per class, rest empty; gap is 1 <= r."""
     cells = product(range(1, p.m + 1), range(1, p.n + 1))
-    classes: list[tuple[Vertex, ...]] = list(zip(vertices(cells)))
+    classes: list[tuple[Cell, ...]] = list(zip(cells))
     classes.extend(repeat((), k - p.m * p.n))
     return Coloring(p.m, p.n, tuple(classes))

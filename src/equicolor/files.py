@@ -37,7 +37,7 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 
 from .errors import ColoringFileError, InternalCheckError
-from .grid import Coloring, Vertex, vertices
+from .grid import Cell, Coloring
 
 HEADER = "equicolor v1"
 
@@ -83,7 +83,7 @@ def parse_coloring(text: str) -> Coloring:
         raise ColoringFileError(
             f"malformed size line {size_line!r}; expected 'm=<m> n=<n> k=<k>'", 2
         )
-    m, n, k = (int(g) for g in size_match.groups())
+    m, n, k = (_number(g, 2) for g in size_match.groups())
     if m < 1 or n < 1 or k < 1:
         raise ColoringFileError(f"m, n, k must all be >= 1, got m={m} n={n} k={k}", 2)
     found = text.count("\n", pos, end) + 1 if pos <= end else 0
@@ -92,8 +92,8 @@ def parse_coloring(text: str) -> Coloring:
             f"expected exactly {k} class lines for k={k}, found {found}",
             min(found, k) + 3,
         )
-    classes: list[tuple[Vertex, ...]] = []
-    pending: list[Vertex] = []  # cells so far of a line a block cut short
+    classes: list[tuple[Cell, ...]] = []
+    pending: list[Cell] = []  # cells so far of a line a block cut short
     inside = False  # whether the block at pos starts inside a line
     while pos <= end:
         cut_match = _BLOCK_END.search(text, min(pos + _BLOCK_CHARS, end), end)
@@ -123,7 +123,7 @@ def parse_coloring(text: str) -> Coloring:
 
 def _block_classes(
     lines: list[str], first: int, m: int, n: int
-) -> list[tuple[Vertex, ...]] | None:
+) -> list[tuple[Cell, ...]] | None:
     """The cells of class lines first, first+1, ..., one tuple per line, or
     None if a line is malformed, out of order or leaves the grid."""
     heads, seps, bodies = zip(*map(str.partition, lines, repeat(":")))
@@ -138,7 +138,7 @@ def _block_classes(
     rows, cols = nums[0::2], nums[1::2]
     if rows and not (1 <= min(rows) and max(rows) <= m and 1 <= min(cols) and max(cols) <= n):
         return None
-    cells = vertices(zip(rows, cols))
+    cells = zip(rows, cols)
     return list(map(tuple, map(islice, repeat(cells), counts)))
 
 
@@ -175,14 +175,21 @@ def _check_line(line: str, index: int, m: int, n: int) -> None:
             f"'<class-index>: (i,j) (i,j) ...'",
             line_no,
         )
-    if int(head) != index:
-        raise ColoringFileError(
-            f"class index {int(head)} out of order; expected {index}", line_no
-        )
-    nums = map(int, toks)
+    got = _number(head, line_no)
+    if got != index:
+        raise ColoringFileError(f"class index {got} out of order; expected {index}", line_no)
+    nums = map(_number, toks, repeat(line_no))
     for i, j in zip(nums, nums):
         if not (1 <= i <= m and 1 <= j <= n):
             raise ColoringFileError(f"vertex ({i},{j}) outside the {m}x{n} grid", line_no)
+
+
+def _number(token: str, line_no: int) -> int:
+    """``int(token)``, or a file error if it has more digits than int() reads."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ColoringFileError(f"number of {len(token)} digits is too long", line_no) from None
 
 
 def write_coloring(path: str | Path, coloring: Coloring) -> None:
@@ -191,5 +198,6 @@ def write_coloring(path: str | Path, coloring: Coloring) -> None:
 
 
 def read_coloring(path: str | Path) -> Coloring:
-    """Read and parse a coloring file."""
-    return parse_coloring(Path(path).read_text(encoding="ascii"))
+    """Read and parse a coloring file, with no newline translation (CRLF
+    fails at line 1)."""
+    return parse_coloring(Path(path).read_bytes().decode("ascii"))

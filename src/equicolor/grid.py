@@ -1,14 +1,16 @@
-"""Vertices, colorings and the verifier for K_m x K_n.
+"""Cells, colorings and the verifier for K_m x K_n.
 
 The vertex set of K_m x K_n is the m-by-n grid of cells (i, j) with
 1 <= i <= m and 1 <= j <= n (1-based everywhere, matching the file
-format).  Two cells are adjacent exactly when they differ in both
-coordinates; consequently a set of cells is independent iff it fits in a
-single row or a single column.  :func:`verify` judges each class in one
-pass anchored at its first cell and returns the same witness pair a
-scan of every pair in order would; the test suite keeps that pairwise
-scan and the one-row-or-one-column test as references and checks the
-verifier against both exhaustively on small grids.
+format), each a plain ``(row, col)`` tuple of ints, which the cyclic GC
+stops tracking (unlike a tuple subclass).  Two cells are adjacent
+exactly when they differ in both coordinates; consequently a set of
+cells is independent iff it fits in a single row or a single column.
+:func:`verify` judges each class in one pass anchored at its first cell
+and returns the same witness pair a scan of every pair in order would;
+the test suite keeps that pairwise scan and the one-row-or-one-column
+test as references and checks the verifier against both exhaustively on
+small grids.
 
 A :class:`Coloring` is an ordered tuple of color classes; classes may be
 empty (size 0), which is how class counts beyond m*n stay meaningful.
@@ -19,36 +21,19 @@ first.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import NamedTuple
 
 from .errors import GridBoundsError, ParameterDomainError
 
 # ============================================================
-# Vertices and adjacency
+# Cells and adjacency
 # ============================================================
 
-
-class Vertex(NamedTuple):
-    """A cell of the m-by-n grid; row in [1, m], col in [1, n]."""
-
-    row: int
-    col: int
+Cell = tuple[int, int]  # (row, col)
 
 
-def vertices(pairs: Iterable[tuple[int, int]]) -> Iterator[Vertex]:
-    """``Vertex(i, j)`` for each ``(i, j)`` of ``pairs``, lazily.
-
-    ``tuple.__new__`` builds the same objects as the namedtuple's
-    Python-level ``__new__``, without a Python call per cell.
-    """
-    return map(tuple.__new__, repeat(Vertex), pairs)
-
-
-def adjacent(u: Vertex, v: Vertex) -> bool:
+def adjacent(u: Cell, v: Cell) -> bool:
     """Adjacency in K_m x K_n: the cells differ in row and in column.
 
     Irreflexive and symmetric by construction.
@@ -72,7 +57,7 @@ class Coloring:
 
     m: int
     n: int
-    classes: tuple[tuple[Vertex, ...], ...]
+    classes: tuple[tuple[Cell, ...], ...]
 
     @property
     def k(self) -> int:
@@ -187,8 +172,8 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
 
 
 def _first_adjacent_pair(
-    cls: tuple[Vertex, ...]
-) -> tuple[Vertex, Vertex] | None:
+    cls: tuple[Cell, ...]
+) -> tuple[Cell, Cell] | None:
     # The pair a scan of every (a, b), a < b, would return first, found in
     # one pass.  Pairs (0, b) come first, so a cell off both lines of
     # u = cls[0] pairs with u.  Otherwise each cell is u or on one line of

@@ -6,6 +6,8 @@ for JSON output, validated against the published envelope schema.
 
 import hashlib
 import json
+import os
+import threading
 
 import jsonschema
 import pytest
@@ -231,7 +233,7 @@ def test_color_inlines_coloring_without_out(capsys):
     assert coloring.sizes() == [2, 2]
     assert verify(1, coloring).valid
     assert all(
-        len({v.row for v in cls}) == 1 or len({v.col for v in cls}) == 1
+        len({v[0] for v in cls}) == 1 or len({v[1] for v in cls}) == 1
         for cls in coloring.classes
     )
 
@@ -293,6 +295,24 @@ def test_verify_malformed_file_exits_2_with_line_number(capsys, tmp_path):
     path.write_text("not a coloring\n", encoding="ascii")
     captured = run(["verify", "-r", "1", str(path)], capsys, expect=EXIT_USAGE)
     assert "line 1" in captured.err
+
+
+def test_verify_rejects_crlf_line_endings(capsys, tmp_path):
+    # Read with no newline translation, so CRLF fails at line 1.
+    path = tmp_path / "crlf.ec"
+    path.write_bytes(b"equicolor v1\r\nm=1 n=2 k=1\r\n1: (1,1) (1,2)\r\n")
+    captured = run(["verify", "-r", "1", str(path)], capsys, expect=EXIT_USAGE)
+    assert "line 1: expected header" in captured.err
+
+
+def test_verify_numbers_beyond_int_digit_limit_exit_2(capsys, tmp_path):
+    huge = "9" * 5000  # int() reads at most 4300 digits
+    path = tmp_path / "huge.ec"
+    for text, line in ((f"equicolor v1\nm={huge} n=2 k=1\n1:\n", 2),
+                       (f"equicolor v1\nm=2 n=2 k=1\n1: (1,{huge})\n", 3)):
+        path.write_text(text, encoding="ascii")
+        captured = run(["verify", "-r", "1", str(path)], capsys, expect=EXIT_USAGE)
+        assert f"line {line}: number of 5000 digits is too long" in captured.err
 
 
 def test_verify_missing_file_exits_2(capsys, tmp_path):
@@ -361,6 +381,14 @@ def test_table_empty_range_is_empty_table(capsys):
 def test_table_rejects_bad_ranges(capsys):
     run(["table", "-m", "x", "-n", "3", "-r", "1"], capsys, expect=EXIT_USAGE)
     run(["table", "-m", "0..3", "-n", "3", "-r", "1"], capsys, expect=EXIT_USAGE)
+
+
+def test_table_rejects_range_bounds_beyond_int_digit_limit(capsys):
+    huge = "9" * 5000  # int() reads at most 4300 digits
+    for bounds in (f"1..{huge}", huge):
+        captured = run(["table", "-m", bounds, "-n", "2", "-r", "1"], capsys,
+                       expect=EXIT_USAGE)
+        assert "m range bound has too many digits" in captured.err
 
 
 # ------------------------------------------------------------
@@ -453,7 +481,7 @@ def test_verify_byte_limit_is_the_largest_color_file(tmp_path):
 
 
 def test_verify_refuses_files_over_the_byte_limit(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "read_coloring", _reached)
+    monkeypatch.setattr(cli, "parse_coloring", _reached)
     path = tmp_path / "big.ec"
     with path.open("wb") as sparse:
         sparse.truncate(cli.MAX_VERIFY_BYTES + 1)
@@ -463,6 +491,28 @@ def test_verify_refuses_files_over_the_byte_limit(capsys, monkeypatch, tmp_path)
         sparse.truncate(cli.MAX_VERIFY_BYTES)
     with pytest.raises(_Reached):
         main(["verify", "-r", "1", str(path)])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_verify_refuses_a_pipe_over_the_byte_limit(capsys, monkeypatch, tmp_path):
+    # A pipe reports 0 bytes to stat, so only a capped read bounds it.
+    monkeypatch.setattr(cli, "parse_coloring", _reached)
+    fifo = tmp_path / "pipe.ec"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with fifo.open("wb") as sink:
+                sink.write(b"x" * (cli.MAX_VERIFY_BYTES + 1))
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    captured = run(["verify", "-r", "1", str(fifo)], capsys, expect=EXIT_USAGE)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert f"file bytes <= {cli.MAX_VERIFY_BYTES}, got {cli.MAX_VERIFY_BYTES + 1}" in captured.err
 
 
 # ------------------------------------------------------------

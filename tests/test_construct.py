@@ -1,5 +1,6 @@
 """Unit tests for split_sizes and the witness constructors."""
 
+import gc
 import hashlib
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from equicolor.closed_forms import (
     Params,
+    gamma,
     kronecker_colorable,
     multipartite_colorable,
 )
@@ -23,11 +25,11 @@ from equicolor.errors import (
     ParameterDomainError,
 )
 from equicolor.files import format_coloring
-from equicolor.grid import Vertex, verify
+from equicolor.grid import verify
 
 
 def single_row_or_column(cls):
-    return len({v.row for v in cls}) <= 1 or len({v.col for v in cls}) <= 1
+    return len({v[0] for v in cls}) <= 1 or len({v[1] for v in cls}) <= 1
 
 
 # ------------------------------------------------------------
@@ -81,7 +83,7 @@ def test_split_sizes_feasibility_iff_exhaustive():
 def test_color_multipartite_one_color_per_part():
     c = color_multipartite(Params(3, 7, 2), 3)
     assert c.sizes() == [7, 7, 7]
-    assert all(len({v.row for v in cls}) == 1 for cls in c.classes)
+    assert all(len({v[0] for v in cls}) == 1 for cls in c.classes)
     assert verify(2, c).valid
 
 
@@ -89,7 +91,7 @@ def test_color_multipartite_uneven_color_counts():
     c = color_multipartite(Params(2, 10, 2), 5)
     # Part 1 carries the extra color: 3 classes (4,3,3); part 2 two (5,5).
     assert c.sizes() == [4, 3, 3, 5, 5]
-    part_of = [{v.row for v in cls} for cls in c.classes]
+    part_of = [{v[0] for v in cls} for cls in c.classes]
     assert part_of == [{1}, {1}, {1}, {2}, {2}]
     assert verify(2, c).valid
 
@@ -124,7 +126,7 @@ def test_color_multipartite_sound_whenever_it_accepts(m, n, r, k):
     assert c.k == k
     assert verify(r, c).valid
     # Multipartite classes must stay inside one part, i.e. one row.
-    assert all(len({v.row for v in cls}) <= 1 for cls in c.classes)
+    assert all(len({v[0] for v in cls}) <= 1 for cls in c.classes)
 
 
 # ------------------------------------------------------------
@@ -143,7 +145,7 @@ def test_color_kronecker_at_k_equals_n():
     assert c.sizes() == [3] * 7
     # Four full columns, then one kept block per row.
     for j, cls in enumerate(c.classes[:4], start=1):
-        assert cls == tuple(Vertex(i, j) for i in (1, 2, 3))
+        assert cls == tuple((i, j) for i in (1, 2, 3))
     assert verify(2, c).valid
 
 
@@ -155,7 +157,7 @@ def test_color_kronecker_at_gamma_and_between():
 def test_color_kronecker_below_gamma_delegates_to_multipartite():
     c = color_kronecker(Params(3, 7, 2), 3)
     assert c.sizes() == [7, 7, 7]
-    assert all(len({v.row for v in cls}) == 1 for cls in c.classes)
+    assert all(len({v[0] for v in cls}) == 1 for cls in c.classes)
 
 
 def test_color_kronecker_refusals_carry_reasons():
@@ -307,3 +309,37 @@ def test_witnesses_are_frozen():
         digest.update(f"{constructor.__name__} {p.m} {p.n} {p.r} {k}\n".encode())
         digest.update(text.encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+# sha256 over every witness with gamma <= k <= m*n, 2 <= m <= n <= 12 and
+# r <= 3 (8,705 of them, every one colorable): every plan shape on wider
+# grids than the box above, where the donor rows of a column wrap past m.
+WIDE_WITNESS_DIGEST = "0b4663f687e487754812c7779ba1b86330b7190fdee1520b323c885668ebfe1f"
+
+
+def test_wide_witnesses_are_frozen():
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(2, 13):
+        for n in range(m, 13):
+            for r in range(1, 4):
+                p = Params(m, n, r)
+                for k in range(gamma(p).value, m * n + 1):
+                    digest.update(f"{m} {n} {r} {k}\n".encode())
+                    digest.update(format_coloring(color_kronecker(p, k)).encode())
+                    count += 1
+    assert count == 8_705
+    assert digest.hexdigest() == WIDE_WITNESS_DIGEST
+
+
+def test_witness_cells_are_not_tracked_by_the_garbage_collector():
+    # Exact tuples of ints leave the collector's lists on its first pass,
+    # so a large witness costs no collection time once it is built.
+    p = Params(12, 15, 1)
+    for k in (12, gamma(p).value, 15, 40, 12 * 15 + 5):  # every plan shape
+        coloring = color_kronecker(p, k)
+        gc.collect()
+        cells = [cell for cls in coloring.classes for cell in cls]
+        assert len(cells) == 12 * 15
+        assert all(type(cell) is tuple for cell in cells)
+        assert not any(map(gc.is_tracked, cells))

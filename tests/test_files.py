@@ -19,7 +19,7 @@ from equicolor.files import (
     read_coloring,
     write_coloring,
 )
-from equicolor.grid import Coloring, Vertex
+from equicolor.grid import Coloring
 
 GOLDEN = "equicolor v1\nm=2 n=2 k=2\n1: (1,1) (1,2)\n2: (2,1) (2,2)\n"
 
@@ -30,6 +30,17 @@ GOLDEN = "equicolor v1\nm=2 n=2 k=2\n1: (1,1) (1,2)\n2: (2,1) (2,2)\n"
 _SIZE_LINE = re.compile(r"^m=(\d+) n=(\d+) k=(\d+)$")
 _CLASS_LINE = re.compile(r"^(\d+):((?: \(\d+,\d+\))*)$")
 _VERTEX = re.compile(r"\((\d+),(\d+)\)")
+
+
+def reference_int(digits, line_no):
+    """``int(digits)``; a number of more digits than int() reads is a
+    file error on its line."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ColoringFileError(
+            f"number of {len(digits)} digits is too long", line_no
+        ) from None
 
 
 def reference_parse_coloring(text):
@@ -46,7 +57,7 @@ def reference_parse_coloring(text):
         raise ColoringFileError(
             f"malformed size line {lines[1]!r}; expected 'm=<m> n=<n> k=<k>'", 2
         )
-    m, n, k = (int(g) for g in size_match.groups())
+    m, n, k = (reference_int(g, 2) for g in size_match.groups())
     if m < 1 or n < 1 or k < 1:
         raise ColoringFileError(f"m, n, k must all be >= 1, got m={m} n={n} k={k}", 2)
     if len(lines) != 2 + k:
@@ -65,19 +76,20 @@ def reference_parse_coloring(text):
                 f"'<class-index>: (i,j) (i,j) ...'",
                 line_no,
             )
-        index = int(class_match.group(1))
+        index = reference_int(class_match.group(1), line_no)
         if index != pos + 1:
             raise ColoringFileError(
                 f"class index {index} out of order; expected {pos + 1}", line_no
             )
         cells = []
         for vm in _VERTEX.finditer(class_match.group(2)):
-            i, j = int(vm.group(1)), int(vm.group(2))
+            i = reference_int(vm.group(1), line_no)
+            j = reference_int(vm.group(2), line_no)
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ColoringFileError(
                     f"vertex ({i},{j}) outside the {m}x{n} grid", line_no
                 )
-            cells.append(Vertex(i, j))
+            cells.append((i, j))
         classes.append(tuple(cells))
     return Coloring(m, n, tuple(classes))
 
@@ -88,15 +100,13 @@ def outcome(parse, text):
         return parse(text)
     except ColoringFileError as exc:
         return type(exc), str(exc), exc.line
-    except ValueError as exc:  # int() refuses a number of over 4300 digits
-        return type(exc), str(exc)
 
 
 def assert_parses_like_reference(text):
     got = outcome(parse_coloring, text)
     assert got == outcome(reference_parse_coloring, text)
     if isinstance(got, Coloring):
-        assert all(type(cell) is Vertex for cls in got.classes for cell in cls)
+        assert all(type(cell) is tuple for cls in got.classes for cell in cls)
 
 
 def kronecker_witnesses(top, rs=(1, 2, 3)):
@@ -116,8 +126,8 @@ def two_rows():
         2,
         2,
         (
-            (Vertex(1, 1), Vertex(1, 2)),
-            (Vertex(2, 1), Vertex(2, 2)),
+            ((1, 1), (1, 2)),
+            ((2, 1), (2, 2)),
         ),
     )
 
@@ -136,15 +146,15 @@ def test_format_sorts_cells_row_major():
         2,
         2,
         (
-            (Vertex(1, 2), Vertex(1, 1)),
-            (Vertex(2, 2), Vertex(2, 1)),
+            ((1, 2), (1, 1)),
+            ((2, 2), (2, 1)),
         ),
     )
     assert format_coloring(scrambled) == GOLDEN
 
 
 def test_format_empty_class_is_bare_index():
-    c = Coloring(1, 2, ((Vertex(1, 1), Vertex(1, 2)), ()))
+    c = Coloring(1, 2, (((1, 1), (1, 2)), ()))
     assert format_coloring(c) == "equicolor v1\nm=1 n=2 k=2\n1: (1,1) (1,2)\n2:\n"
 
 
@@ -245,12 +255,20 @@ def test_parse_does_not_judge_semantics():
     assert parsed.sizes() == [2, 1]
 
 
-def test_parsed_cells_are_vertices():
+def test_parsed_cells_are_exact_tuples():
     parsed = parse_coloring(GOLDEN)
     cell = parsed.classes[1][0]
-    assert type(cell) is Vertex
-    assert (cell.row, cell.col) == (2, 1)
-    assert cell == Vertex(2, 1) and cell == (2, 1)
+    assert type(cell) is tuple and cell == (2, 1)
+    assert type(cell[0]) is int and type(cell[1]) is int
+
+
+def test_parsed_cells_are_not_tracked_by_the_garbage_collector():
+    # Exact tuples of ints leave the collector's lists on its first pass;
+    # cells that stayed tracked made a third of the parse time collection.
+    text = format_coloring(color_kronecker(Params(12, 15, 1), 40))
+    parsed = parse_coloring(text)
+    gc.collect()
+    assert not any(gc.is_tracked(cell) for cls in parsed.classes for cell in cls)
 
 
 # ------------------------------------------------------------
@@ -269,7 +287,7 @@ def test_parse_matches_reference_on_every_small_witness(block_chars, monkeypatch
     for text in kronecker_witnesses(6):
         parsed = parse_coloring(text)
         assert parsed == reference_parse_coloring(text)
-        assert all(type(cell) is Vertex for cls in parsed.classes for cell in cls)
+        assert all(type(cell) is tuple for cls in parsed.classes for cell in cls)
         assert format_coloring(parsed) == text
         count += 1
     assert count == 815
@@ -402,16 +420,29 @@ def test_unicode_digits_and_spaces_match_reference(line, valid):
 
 
 def test_numbers_beyond_int_digit_limit_fail_where_the_reference_does():
-    huge = "1" * 4400  # int() refuses more than 4300 digits
+    # int() refuses more than 4300 digits; both parsers report it as a
+    # file error on its line, after any error an earlier check finds.
+    huge = "1" * 4400
     head = "equicolor v1\nm=2 n=2 k=3\n"
-    for lines in (
-        ["1: (3,1)", f"2: (1,{huge})", "3:"],  # the earlier grid error wins
-        [f"1: (1,1) (1,{huge})", "2: (3,1)", "3:"],
-        [f"1: (3,1) (1,{huge})", "2:", "3:"],
-        [f"{huge}: (1,1)", "2:", "3:"],
-        ["1:", "2: (1,1", f"3: ({huge},1)"],
+    for lines, line_no in (
+        (["1: (3,1)", f"2: (1,{huge})", "3:"], 3),  # the earlier grid error wins
+        ([f"1: (1,1) (1,{huge})", "2: (3,1)", "3:"], 3),
+        ([f"1: (3,1) (1,{huge})", "2:", "3:"], 3),
+        ([f"{huge}: (1,1)", "2:", "3:"], 3),
+        (["1:", "2: (1,1", f"3: ({huge},1)"], 4),
+        (["1:", "2: (1,1)", f"3: ({huge},1)"], 5),
     ):
-        assert_parses_like_reference(head + "\n".join(lines) + "\n")
+        text = head + "\n".join(lines) + "\n"
+        with pytest.raises(ColoringFileError) as exc:
+            parse_coloring(text)
+        assert exc.value.line == line_no
+        assert_parses_like_reference(text)
+    for size_line in (f"m={huge} n=2 k=1", f"m=2 n=2 k={huge}"):
+        text = f"equicolor v1\n{size_line}\n1:\n"
+        with pytest.raises(ColoringFileError, match="4400 digits") as exc:
+            parse_coloring(text)
+        assert exc.value.line == 2
+        assert_parses_like_reference(text)
 
 
 def test_one_long_line_parses_in_bounded_memory():
@@ -441,3 +472,13 @@ def test_write_then_read_round_trip(tmp_path):
     write_coloring(path, two_rows())
     assert path.read_bytes() == GOLDEN.encode("ascii")
     assert read_coloring(path) == two_rows()
+
+
+def test_read_rejects_crlf_line_endings(tmp_path):
+    # No newline translation on reading: CRLF fails at line 1, as it does
+    # in parse_coloring.
+    path = tmp_path / "crlf.ec"
+    path.write_bytes(GOLDEN.replace("\n", "\r\n").encode("ascii"))
+    with pytest.raises(ColoringFileError) as exc:
+        read_coloring(path)
+    assert exc.value.line == 1

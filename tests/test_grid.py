@@ -13,7 +13,6 @@ from equicolor.construct import color_kronecker
 from equicolor.errors import GridBoundsError, ParameterDomainError
 from equicolor.grid import (
     Coloring,
-    Vertex,
     Violation,
     ViolationKind,
     _first_adjacent_pair,
@@ -56,12 +55,12 @@ def verifier_independent(vertices):
 
 
 def test_adjacent_examples():
-    assert adjacent(Vertex(1, 1), Vertex(2, 2)) is True
-    assert adjacent(Vertex(1, 1), Vertex(1, 5)) is False  # shared row
-    assert adjacent(Vertex(3, 2), Vertex(1, 2)) is False  # shared column
+    assert adjacent((1, 1), (2, 2)) is True
+    assert adjacent((1, 1), (1, 5)) is False  # shared row
+    assert adjacent((3, 2), (1, 2)) is False  # shared column
 
 
-vertices = st.builds(Vertex, st.integers(1, 9), st.integers(1, 9))
+vertices = st.tuples(st.integers(1, 9), st.integers(1, 9))
 
 
 @given(u=vertices, v=vertices)
@@ -77,15 +76,15 @@ def test_adjacent_symmetric_and_irreflexive(u, v):
 
 def test_is_independent_examples():
     for route in (is_independent, verifier_independent):
-        assert route([Vertex(1, 1), Vertex(1, 2), Vertex(1, 3)]) is True
-        assert route([Vertex(1, 1), Vertex(2, 1)]) is True
-        assert route([Vertex(1, 1), Vertex(1, 2), Vertex(2, 1)]) is False
+        assert route([(1, 1), (1, 2), (1, 3)]) is True
+        assert route([(1, 1), (2, 1)]) is True
+        assert route([(1, 1), (1, 2), (2, 1)]) is False
 
 
 def test_both_routes_accept_empty_and_singleton():
     for route in (is_independent, verifier_independent, single_row_or_column):
         assert route([]) is True
-        assert route([Vertex(2, 3)]) is True
+        assert route([(2, 3)]) is True
 
 
 def test_independence_routes_agree_exhaustively():
@@ -95,7 +94,7 @@ def test_independence_routes_agree_exhaustively():
     grids = [(m, n) for m in range(2, 7) for n in range(2, 7) if m * n <= 12]
     assert grids  # guard against an accidentally empty sweep
     for m, n in grids:
-        cells = [Vertex(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
         for mask in range(1 << (m * n)):
             subset = tuple(cells[b] for b in range(m * n) if mask >> b & 1)
             pair = pairwise_first_adjacent_pair(subset)
@@ -110,7 +109,7 @@ def test_independence_routes_agree_exhaustively():
 def test_verifier_pair_matches_pairwise_on_every_short_sequence():
     # Every sequence of length <= 5 over the 3x3 grid, repeats included:
     # 66,430 classes, in every order.
-    cells = [Vertex(i, j) for i in range(1, 4) for j in range(1, 4)]
+    cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
     count = 0
     for length in range(6):
         for seq in itertools.product(cells, repeat=length):
@@ -123,7 +122,7 @@ def test_verifier_pair_matches_pairwise_on_every_short_sequence():
 
 @given(
     cls=st.lists(
-        st.builds(Vertex, st.integers(1, 5), st.integers(1, 5)), max_size=40
+        st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=40
     )
 )
 def test_verifier_pair_matches_pairwise_on_random_classes(cls):
@@ -138,8 +137,8 @@ def test_non_contiguous_line_subsets_are_independent():
     # Independence depends only on sharing a line, not on adjacency of
     # the indices along it.
     for route in (is_independent, verifier_independent):
-        assert route([Vertex(1, 1), Vertex(1, 5), Vertex(1, 9)]) is True
-        assert route([Vertex(2, 4), Vertex(5, 4), Vertex(9, 4)]) is True
+        assert route([(1, 1), (1, 5), (1, 9)]) is True
+        assert route([(2, 4), (5, 4), (9, 4)]) is True
 
 
 # ------------------------------------------------------------
@@ -152,8 +151,8 @@ def rows_coloring():
         2,
         2,
         (
-            (Vertex(1, 1), Vertex(1, 2)),
-            (Vertex(2, 1), Vertex(2, 2)),
+            ((1, 1), (1, 2)),
+            ((2, 1), (2, 2)),
         ),
     )
 
@@ -169,8 +168,8 @@ def test_verify_flags_adjacent_pairs_in_both_classes():
         2,
         2,
         (
-            (Vertex(1, 1), Vertex(2, 2)),
-            (Vertex(1, 2), Vertex(2, 1)),
+            ((1, 1), (2, 2)),
+            ((1, 2), (2, 1)),
         ),
     )
     report = verify(1, diagonal)
@@ -184,9 +183,9 @@ def test_verify_flags_imbalance():
         2,
         4,
         (
-            tuple(Vertex(1, j) for j in range(1, 5)),
-            (Vertex(2, 1),),
-            (Vertex(2, 2), Vertex(2, 3), Vertex(2, 4)),
+            tuple((1, j) for j in range(1, 5)),
+            ((2, 1),),
+            ((2, 2), (2, 3), (2, 4)),
         ),
     )
     report = verify(1, lopsided)
@@ -201,8 +200,8 @@ def test_verify_flags_missing_and_duplicated_cells():
         2,
         2,
         (
-            (Vertex(1, 1), Vertex(1, 2)),
-            (Vertex(1, 1), Vertex(2, 1)),  # (1,1) twice, (2,2) nowhere
+            ((1, 1), (1, 2)),
+            ((1, 1), (2, 1)),  # (1,1) twice, (2,2) nowhere
         ),
     )
     report = verify(2, broken)
@@ -218,8 +217,8 @@ def test_verify_counts_empty_classes_in_the_balance():
         2,
         2,
         (
-            (Vertex(1, 1), Vertex(1, 2)),
-            (Vertex(2, 1), Vertex(2, 2)),
+            ((1, 1), (1, 2)),
+            ((2, 1), (2, 2)),
             (),
         ),
     )
@@ -230,7 +229,7 @@ def test_verify_counts_empty_classes_in_the_balance():
 
 
 def test_verify_rejects_out_of_grid_vertex_as_malformed():
-    stray = Coloring(2, 2, ((Vertex(1, 1), Vertex(3, 1)),))
+    stray = Coloring(2, 2, (((1, 1), (3, 1)),))
     with pytest.raises(GridBoundsError):
         verify(1, stray)
 
@@ -301,7 +300,7 @@ def test_verify_is_linear_in_one_long_class():
 def test_verify_is_linear_in_a_class_of_repeated_cells():
     # 100,000 copies of (1,1) come before the only adjacent pair.
     coloring = Coloring(
-        2, 2, ((Vertex(1, 1),) * 100_000 + (Vertex(1, 2), Vertex(2, 1)),)
+        2, 2, (((1, 1),) * 100_000 + ((1, 2), (2, 1)),)
     )
     start = time.process_time()
     report = verify(1, coloring)
