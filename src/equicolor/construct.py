@@ -33,7 +33,7 @@ Coordinates follow equicolor.grid: rows 1..m, columns 1..n.
 
 from __future__ import annotations
 
-from itertools import filterfalse, product, repeat
+from itertools import filterfalse, islice, product, repeat
 
 from .closed_forms import (
     Params,
@@ -230,6 +230,9 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
       other k - G row classes are dealt round-robin, lowest row first,
       up to kept // b per row (no cap when b = 0).  Each row splits its
       kept cells near-evenly, in column order, into sizes in [b, b+r].
+    * A line's classes are consecutive slices of one cell iterator over
+      that line, cut by its :func:`split_sizes` list, so no Python step
+      runs per class.
     """
     m, n, r = p.m, p.n, p.r
     w = b + r
@@ -269,10 +272,8 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         walk = stop % m
         for i in rows:
             drawn[i - 1].add(j)
-        at = 0
-        for size in split_sizes(load, g, b, r):
-            classes.append(tuple(zip(rows[at : at + size], repeat(j))))
-            at += size
+        sizes = split_sizes(load, g, b, r)
+        classes += map(tuple, map(islice, repeat(zip(rows, repeat(j))), sizes))
 
     # Row side: distribute the remaining k - col_cls classes over rows,
     # lowest row index first, within each row's feasible count range.
@@ -293,11 +294,9 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         own = list(filterfalse(drawn[i - 1].__contains__, range(1, n + 1)))
         if len(own) != kept[i - 1]:
             raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
-        at = 0
         if row_cls[i - 1]:
-            for size in split_sizes(kept[i - 1], row_cls[i - 1], b, r):
-                classes.append(tuple(zip(repeat(i), own[at : at + size])))
-                at += size
+            sizes = split_sizes(kept[i - 1], row_cls[i - 1], b, r)
+            classes += map(tuple, map(islice, repeat(zip(repeat(i), own)), sizes))
     return Coloring(m, n, tuple(classes))
 
 

@@ -16,13 +16,16 @@ A :class:`Coloring` is an ordered tuple of color classes; classes may be
 empty (size 0), which is how class counts beyond m*n stay meaningful.
 :func:`verify` checks the three defining properties independently and
 reports every kind of violation it finds rather than stopping at the
-first.
+first.  Its cost is one flat counting pass over all cells, the per-cell
+partition report scan only when some cell is not covered exactly once,
+and the pair search only for classes of two or more cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import GridBoundsError, ParameterDomainError
 
@@ -90,16 +93,19 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
 
     Three independent checks, all always performed:
 
-    * partition: every grid cell appears in exactly one class;
+    * partition: every grid cell appears in exactly one class, counted
+      in one flat pass over the cells in class order; the counts are
+      scanned for the report only when some cell is not covered exactly
+      once;
     * independence: within each class, no two cells are adjacent,
-      judged in one pass per class; an offending class is reported with
-      the first adjacent pair in pairwise order;
+      judged in one pass per class of two or more cells; an offending
+      class is reported with the first adjacent pair in pairwise order;
     * balance: max class size minus min class size is at most r, with
       empty classes counting as size 0.
 
-    A cell outside the grid raises :class:`GridBoundsError` instead of
-    being reported as a violation: such a coloring is malformed, not
-    merely invalid.
+    A cell outside the grid raises :class:`GridBoundsError` (the first
+    such cell in class order) instead of being reported as a violation:
+    such a coloring is malformed, not merely invalid.
 
     Args:
         r: allowed size gap, r >= 1.
@@ -116,29 +122,32 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
 
     violations: list[Violation] = []
 
-    # Partition check via a cover-count per cell.
+    # Partition check via a cover-count per cell.  All m*n counts are 1
+    # exactly when the cover is a partition, so only then is the report
+    # scan skipped.
     counts = [0] * (m * n)
-    for cls in coloring.classes:
-        for i, j in cls:
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise GridBoundsError(
-                    f"vertex ({i},{j}) outside the {m}x{n} grid"
+    for i, j in chain.from_iterable(coloring.classes):
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise GridBoundsError(f"vertex ({i},{j}) outside the {m}x{n} grid")
+        counts[(i - 1) * n + (j - 1)] += 1
+    if counts.count(1) != m * n:
+        for idx, c in enumerate(counts):
+            if c != 1:
+                i, j = divmod(idx, n)
+                what = "missing from every class" if c == 0 else f"covered {c} times"
+                violations.append(
+                    Violation(
+                        ViolationKind.NOT_PARTITION,
+                        f"vertex ({i + 1},{j + 1}) is {what}",
+                    )
                 )
-            counts[(i - 1) * n + (j - 1)] += 1
-    for idx, c in enumerate(counts):
-        if c != 1:
-            i, j = divmod(idx, n)
-            what = "missing from every class" if c == 0 else f"covered {c} times"
-            violations.append(
-                Violation(
-                    ViolationKind.NOT_PARTITION,
-                    f"vertex ({i + 1},{j + 1}) is {what}",
-                )
-            )
 
     # Independence check.  One witness pair per offending class is enough
-    # to make the report actionable.
+    # to make the report actionable; a class of fewer than two cells has
+    # no pair to search.
     for ci, cls in enumerate(coloring.classes):
+        if len(cls) < 2:
+            continue
         pair = _first_adjacent_pair(cls)
         if pair is not None:
             u, v = pair

@@ -98,6 +98,7 @@ def test_decision_rules_match_oracles(capsys):
 
 
 def test_thresholds_match_oracle_and_hit_both_branches(capsys):
+    start = time.monotonic()
     # The small grid contains only three instances on the residue branch,
     # so two slightly larger ones are added to see that branch five
     # times; their oracles still finish instantly.
@@ -127,7 +128,7 @@ def test_thresholds_match_oracle_and_hit_both_branches(capsys):
         "threshold formulas vs oracle thresholds",
         ok,
         f"{len(triples)} instances, branches {branch_hits}, "
-        f"{len(mismatches)} mismatches",
+        f"{len(mismatches)} mismatches, {time.monotonic() - start:.2f}s",
     )
     assert not mismatches, mismatches[:5]
     assert branch_hits["residue-small-gap"] >= 5, branch_hits
@@ -195,6 +196,7 @@ def _independent_r1_threshold(m, n):
 
 
 def test_r1_threshold_matches_independent_formula(capsys):
+    start = time.monotonic()
     mismatches = []
     checked = 0
     for m in range(2, 61):
@@ -209,7 +211,8 @@ def test_r1_threshold_matches_independent_formula(capsys):
         capsys,
         "r=1 threshold vs independent formula (m, n <= 60)",
         ok,
-        f"{checked} pairs, {len(mismatches)} mismatches",
+        f"{checked} pairs, {len(mismatches)} mismatches, "
+        f"{time.monotonic() - start:.2f}s",
     )
     assert not mismatches, mismatches[:5]
 
@@ -221,6 +224,7 @@ def test_r1_threshold_matches_independent_formula(capsys):
 
 
 def test_r1_residue_instances_separate_families(capsys):
+    start = time.monotonic()
     violations = []
     instances = 0
     for m in range(2, 61):
@@ -238,7 +242,8 @@ def test_r1_residue_instances_separate_families(capsys):
         capsys,
         "r=1 residue branch separates the families",
         ok,
-        f"{instances} instances, {len(violations)} violations",
+        f"{instances} instances, {len(violations)} violations, "
+        f"{time.monotonic() - start:.2f}s",
     )
     assert instances > 0
     assert not violations, violations[:5]
@@ -286,6 +291,7 @@ def test_thresholds_agree_beyond_equality_bound(capsys):
 
 
 def test_sizes_just_below_multipartite_steps_are_uncolorable(capsys):
+    start = time.monotonic()
     violations = []
     checked = 0
     for m in range(2, 6):
@@ -305,7 +311,8 @@ def test_sizes_just_below_multipartite_steps_are_uncolorable(capsys):
         capsys,
         "multipartite gaps below each step value",
         ok,
-        f"{checked} checks, {len(violations)} violations",
+        f"{checked} checks, {len(violations)} violations, "
+        f"{time.monotonic() - start:.2f}s",
     )
     assert not violations, violations[:5]
 
@@ -316,6 +323,7 @@ def test_sizes_just_below_multipartite_steps_are_uncolorable(capsys):
 
 
 def test_non_monotone_witness_3_7_2(capsys):
+    start = time.monotonic()
     p = Params(3, 7, 2)
     expected = {3: True, 4: False, **{k: True for k in range(5, 23)}}
     bad = []
@@ -329,6 +337,7 @@ def test_non_monotone_witness_3_7_2(capsys):
         capsys,
         "non-monotone witness m=3 n=7 r=2",
         ok,
-        f"{2 * len(expected)} verdicts, {len(bad)} wrong",
+        f"{2 * len(expected)} verdicts, {len(bad)} wrong, "
+        f"{time.monotonic() - start:.2f}s",
     )
     assert not bad, bad

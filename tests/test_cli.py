@@ -1,20 +1,20 @@
 """End-to-end tests for the command-line interface.
 
 Commands run in-process through ``main(argv)``; stdout is parsed and,
-for JSON output, validated against the published envelope schema.
+for JSON output, validated against the envelope schema below.
 """
 
 import hashlib
 import json
 import os
 import threading
+from typing import Any
 
 import jsonschema
 import pytest
 
 from equicolor import cli
 from equicolor.cli import (
-    ENVELOPE_SCHEMA,
     EXIT_BUDGET,
     EXIT_NOT_COLORABLE,
     EXIT_OK,
@@ -25,6 +25,132 @@ from equicolor.cli import (
 )
 from equicolor.files import parse_coloring
 from equicolor.grid import verify
+
+# One fixed schema covering every envelope the CLI emits at
+# SCHEMA_VERSION.  Bump SCHEMA_VERSION on any breaking change.
+ENVELOPE_SCHEMA: dict[str, Any] = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "command", "params", "result"],
+    "additionalProperties": False,
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "command": {"enum": ["threshold", "decide", "color", "verify", "table"]},
+        "params": {"type": "object"},
+        "result": {"type": "object"},
+    },
+    "allOf": [
+        {
+            "if": {"properties": {"command": {"const": "threshold"}}},
+            "then": {
+                "properties": {
+                    "result": {
+                        "type": "object",
+                        "required": ["value", "case", "theta", "gamma",
+                                     "trichotomy", "residue", "note"],
+                        "properties": {
+                            "value": {"type": "integer", "minimum": 1},
+                            "case": {"type": ["string", "null"]},
+                            "theta": {"type": ["integer", "null"]},
+                            "gamma": {"type": ["integer", "null"]},
+                            "trichotomy": {"type": ["string", "null"]},
+                            "residue": {"type": ["integer", "null"]},
+                            "note": {"type": ["string", "null"]},
+                        },
+                    }
+                }
+            },
+        },
+        {
+            "if": {"properties": {"command": {"const": "decide"}}},
+            "then": {
+                "properties": {
+                    "result": {
+                        "type": "object",
+                        "required": ["colorable", "reason", "oracle"],
+                        "properties": {
+                            "colorable": {"type": "boolean"},
+                            "reason": {"type": "string"},
+                            "oracle": {
+                                "type": ["object", "null"],
+                                "required": ["colorable", "agrees"],
+                                "properties": {
+                                    "colorable": {"type": "boolean"},
+                                    "agrees": {"type": "boolean"},
+                                },
+                            },
+                        },
+                    }
+                }
+            },
+        },
+        {
+            "if": {"properties": {"command": {"const": "color"}}},
+            "then": {
+                "properties": {
+                    "result": {
+                        "type": "object",
+                        "required": ["m", "n", "k", "sizes", "valid", "out",
+                                     "coloring", "note"],
+                        "properties": {
+                            "m": {"type": "integer", "minimum": 1},
+                            "n": {"type": "integer", "minimum": 1},
+                            "k": {"type": "integer", "minimum": 1},
+                            "sizes": {"type": "array",
+                                      "items": {"type": "integer", "minimum": 0}},
+                            "valid": {"const": True},
+                            "out": {"type": ["string", "null"]},
+                            "coloring": {"type": ["string", "null"]},
+                            "note": {"type": ["string", "null"]},
+                        },
+                    }
+                }
+            },
+        },
+        {
+            "if": {"properties": {"command": {"const": "verify"}}},
+            "then": {
+                "properties": {
+                    "result": {
+                        "type": "object",
+                        "required": ["valid", "m", "n", "k", "violations"],
+                        "properties": {
+                            "valid": {"type": "boolean"},
+                            "m": {"type": "integer", "minimum": 1},
+                            "n": {"type": "integer", "minimum": 1},
+                            "k": {"type": "integer", "minimum": 1},
+                            "violations": {
+                                "type": "array",
+                                "items": {
+                                    "type": "object",
+                                    "required": ["kind", "detail"],
+                                    "properties": {
+                                        "kind": {"enum": ["not-partition",
+                                                          "adjacent-pair",
+                                                          "imbalance"]},
+                                        "detail": {"type": "string"},
+                                    },
+                                },
+                            },
+                        },
+                    }
+                }
+            },
+        },
+        {
+            "if": {"properties": {"command": {"const": "table"}}},
+            "then": {
+                "properties": {
+                    "result": {
+                        "type": "object",
+                        "required": ["rows"],
+                        "properties": {"rows": {"type": "array"}},
+                    }
+                }
+            },
+        },
+    ],
+}
 
 
 def run(argv, capsys, expect=EXIT_OK):

@@ -343,3 +343,19 @@ def test_witness_cells_are_not_tracked_by_the_garbage_collector():
         assert len(cells) == 12 * 15
         assert all(type(cell) is tuple for cell in cells)
         assert not any(map(gc.is_tracked, cells))
+
+
+def test_witness_classes_are_exact_tuples_of_cell_pairs():
+    # Every plan shape, including the edgeless m = 1 grid: classes are
+    # exact tuples of exact (row, col) tuples of ints.
+    p = Params(12, 15, 1)
+    shapes = [(p, k) for k in (12, gamma(p).value, 15, 40, 12 * 15 + 5)]
+    shapes += [(Params(6, 10, 1), 15), (Params(1, 7, 2), 3)]
+    for p, k in shapes:
+        coloring = color_kronecker(p, k)
+        assert type(coloring.classes) is tuple
+        for cls in coloring.classes:
+            assert type(cls) is tuple
+            for cell in cls:
+                assert type(cell) is tuple and len(cell) == 2
+                assert type(cell[0]) is int and type(cell[1]) is int

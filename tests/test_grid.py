@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicolor import grid
@@ -13,6 +13,7 @@ from equicolor.construct import color_kronecker
 from equicolor.errors import GridBoundsError, ParameterDomainError
 from equicolor.grid import (
     Coloring,
+    VerificationReport,
     Violation,
     ViolationKind,
     _first_adjacent_pair,
@@ -47,6 +48,67 @@ def single_row_or_column(vertices):
 
 def verifier_independent(vertices):
     return _first_adjacent_pair(tuple(vertices)) is None
+
+
+def reference_verify(r, coloring):
+    """:func:`verify` as a nested loop: every cover count is scanned and
+    every class, however small, is searched pair by pair."""
+    m, n = coloring.m, coloring.n
+    violations = []
+    counts = [0] * (m * n)
+    for cls in coloring.classes:
+        for i, j in cls:
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise GridBoundsError(
+                    f"vertex ({i},{j}) outside the {m}x{n} grid"
+                )
+            counts[(i - 1) * n + (j - 1)] += 1
+    for idx, c in enumerate(counts):
+        if c != 1:
+            i, j = divmod(idx, n)
+            what = "missing from every class" if c == 0 else f"covered {c} times"
+            violations.append(
+                Violation(
+                    ViolationKind.NOT_PARTITION,
+                    f"vertex ({i + 1},{j + 1}) is {what}",
+                )
+            )
+    for ci, cls in enumerate(coloring.classes):
+        pair = pairwise_first_adjacent_pair(cls)
+        if pair is not None:
+            u, v = pair
+            violations.append(
+                Violation(
+                    ViolationKind.ADJACENT_PAIR,
+                    f"class {ci + 1} contains adjacent vertices "
+                    f"({u[0]},{u[1]}) and ({v[0]},{v[1]})",
+                )
+            )
+    if coloring.classes:
+        sizes = coloring.sizes()
+        lo, hi = min(sizes), max(sizes)
+        if hi - lo > r:
+            violations.append(
+                Violation(
+                    ViolationKind.IMBALANCE,
+                    f"class sizes range from {lo} (class {sizes.index(lo) + 1}) "
+                    f"to {hi} (class {sizes.index(hi) + 1}); gap {hi - lo} "
+                    f"exceeds r={r}",
+                )
+            )
+    else:
+        violations.append(
+            Violation(ViolationKind.NOT_PARTITION, "coloring has no classes")
+        )
+    return VerificationReport(not violations, tuple(violations))
+
+
+def outcome(route, r, coloring):
+    """The report, or the type and message of a grid-bounds error."""
+    try:
+        return route(r, coloring)
+    except GridBoundsError as exc:
+        return GridBoundsError, str(exc)
 
 
 # ------------------------------------------------------------
@@ -286,6 +348,117 @@ def test_verify_report_matches_pairwise_reference_on_corrupted_witnesses(
         grid, "_first_adjacent_pair", pairwise_first_adjacent_pair
     )
     assert reports == [verify(r, c) for r, c in cases]
+
+
+# Fixed partition-path cases on the 2x3 grid, with the grid's cells
+# (1,1) (1,2) (1,3) / (2,1) (2,2) (2,3).
+PARTITION_CASES = {
+    "valid": (((1, 1), (1, 2), (1, 3)), ((2, 1), (2, 2), (2, 3))),
+    "missing cell": (((1, 1), (1, 2), (1, 3)), ((2, 1), (2, 2))),
+    "duplicate within a class": (
+        ((1, 1), (1, 2), (1, 1), (1, 3)),
+        ((2, 1), (2, 2), (2, 3)),
+    ),
+    "duplicate across classes": (
+        ((1, 1), (1, 2), (1, 3)),
+        ((2, 1), (2, 2), (2, 3), (1, 2)),
+    ),
+    # Six cells in all, as many as the grid has.
+    "duplicate plus missing": (
+        ((1, 1), (1, 2), (1, 3)),
+        ((2, 1), (2, 2), (1, 1)),
+    ),
+    "stray after a duplicate": (
+        ((1, 1), (1, 1), (3, 1), (1, 2), (1, 4)),
+        ((2, 1), (0, 2)),
+    ),
+    "stray in a later class": (
+        ((1, 1), (1, 2), (1, 2)),
+        ((2, 1), (2, 7)),
+        ((5, 1),),
+    ),
+    "empty and one-cell classes": (
+        ((1, 1),),
+        (),
+        ((1, 2), (1, 3)),
+        ((2, 1),),
+        (),
+        ((2, 2), (2, 3)),
+    ),
+    "adjacent two-cell classes": (
+        ((1, 1), (2, 2)),
+        ((1, 2), (2, 1)),
+        ((1, 3), (2, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_CASES))
+def test_verify_matches_nested_loop_reference_on_fixed_cases(name):
+    coloring = Coloring(2, 3, PARTITION_CASES[name])
+    for r in (1, 2, 3):
+        assert outcome(verify, r, coloring) == outcome(
+            reference_verify, r, coloring
+        )
+
+
+def test_partition_cases_reach_every_verifier_path():
+    # The first grid-bounds error is the first stray in class order.
+    stray = Coloring(2, 3, PARTITION_CASES["stray after a duplicate"])
+    assert outcome(verify, 1, stray) == (
+        GridBoundsError,
+        "vertex (3,1) outside the 2x3 grid",
+    )
+    later = Coloring(2, 3, PARTITION_CASES["stray in a later class"])
+    assert outcome(verify, 1, later) == (
+        GridBoundsError,
+        "vertex (2,7) outside the 2x3 grid",
+    )
+    # A duplicate and a missing cell keep the cell total at m*n.
+    both = verify(1, Coloring(2, 3, PARTITION_CASES["duplicate plus missing"]))
+    assert [v.detail for v in both.violations[:2]] == [
+        "vertex (1,1) is covered 2 times",
+        "vertex (2,3) is missing from every class",
+    ]
+    pairs = verify(1, Coloring(2, 3, PARTITION_CASES["adjacent two-cell classes"]))
+    assert [v.kind for v in pairs.violations] == [ViolationKind.ADJACENT_PAIR] * 2
+    assert verify(1, Coloring(2, 3, PARTITION_CASES["valid"])).valid
+    small = Coloring(2, 3, PARTITION_CASES["empty and one-cell classes"])
+    assert verify(2, small).valid
+
+
+@st.composite
+def small_colorings(draw):
+    """A cover of an m x n grid (m, n <= 5) cut into classes, some empty,
+    with up to two cells dropped, up to two cells repeated and, now and
+    then, a cell outside the grid."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    grid_cells = list(itertools.product(range(1, m + 1), range(1, n + 1)))
+    cells = list(draw(st.permutations(grid_cells)))
+    for _ in range(draw(st.integers(0, min(2, len(cells))))):
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        cells.insert(
+            draw(st.integers(0, len(cells))), draw(st.sampled_from(grid_cells))
+        )
+    if draw(st.integers(0, 3)) == 0:
+        stray = st.one_of(
+            st.tuples(st.sampled_from([0, m + 1]), st.integers(0, n + 1)),
+            st.tuples(st.integers(0, m + 1), st.sampled_from([0, n + 1])),
+        )
+        cells.insert(draw(st.integers(0, len(cells))), draw(stray))
+    cuts = sorted(draw(st.lists(st.integers(0, len(cells)), max_size=2 * n)))
+    bounds = [0, *cuts, len(cells)]
+    classes = tuple(tuple(cells[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return draw(st.integers(1, 3)), Coloring(m, n, classes)
+
+
+@settings(max_examples=400)
+@given(case=small_colorings())
+def test_verify_matches_nested_loop_reference_on_random_colorings(case):
+    r, coloring = case
+    assert outcome(verify, r, coloring) == outcome(reference_verify, r, coloring)
 
 
 def test_verify_is_linear_in_one_long_class():
