@@ -2,16 +2,18 @@
 
 Five subcommands: ``threshold`` and ``decide`` expose the closed forms,
 ``color`` writes witness colorings, ``verify`` judges coloring files,
-``table`` sweeps parameter ranges and compares the two families.  Every
-successful command emits exactly one output envelope on stdout (JSON or
-a text rendering of the same content; ``table`` emits CSV instead when
-asked).  Diagnostics go to stderr.
+``table`` sweeps parameter ranges and compares the two families.  Each
+handler returns only its result; :func:`main` takes the envelope's
+params from the parsed arguments and emits exactly one envelope on
+stdout (JSON, or a text rendering of the same content; ``table`` emits
+CSV instead of text).  Diagnostics go to stderr.
 
 Exit codes: 0 success, 2 usage or parameter-domain error (including
 malformed coloring files), 3 oracle budget exceeded, 4 witness requested
 for an instance that is not colorable, 5 internal invariant falsified
 (e.g. a constructed coloring failing its own verifier, or a sweep row
-contradicting the threshold-equality guarantee).
+contradicting the threshold-equality guarantee).  Only an oracle that
+disagrees with ``decide``'s verdict exits 5 after its envelope is out.
 
 Instances with m = 1 or n = 1 (and K_{1(n)}) are edgeless.  The library
 verdicts and the constructor handle them; only the closed-form thresholds
@@ -47,7 +49,7 @@ from .errors import (
     NotColorableError,
     ParameterDomainError,
 )
-from .files import format_coloring, parse_coloring, write_coloring
+from .files import decode_ascii, format_coloring, parse_coloring, write_coloring
 from .grid import verify
 from .oracle import (
     DEFAULT_BUDGET,
@@ -81,7 +83,8 @@ MAX_VERIFY_BYTES = 18_777_829
 # A theta scan over factor size N with gap r takes about
 # min(N, isqrt(N*(r-1))) steps: at most 477 more over random N up to 10**9
 # and r <= 50, and theta = 46 for r = 1 at N near 9.4 * 10**18.  10**7
-# steps take about 1 s.
+# steps take about 1 s.  K_{m(n)} scans over n only; K_m x K_n over
+# max(m, n), after the swap to m <= n.
 MAX_THETA_STEPS = 10**7
 
 
@@ -90,23 +93,13 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ParameterDomainError(f"input limit {what} <= {limit}, got {value}")
 
 
-def _theta_steps(m: int, n: int, r: int) -> int:
-    big = max(m, n)
-    return min(big, math.isqrt(big * (r - 1)))
+def _theta_steps(N: int, r: int) -> int:
+    return min(N, math.isqrt(N * (r - 1)))
 
 
 # ============================================================
 # Envelope plumbing
 # ============================================================
-
-
-def _envelope(command: str, params: dict[str, Any], result: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "params": params,
-        "result": result,
-    }
 
 
 def _render_value(value: Any) -> str:
@@ -119,9 +112,21 @@ def _render_value(value: Any) -> str:
     return str(value)
 
 
+_TABLE_COLUMNS = [
+    "m", "n", "r", "kronecker", "case", "multipartite", "equal",
+    "equ_bound", "equality_guaranteed",
+]
+
+
 def _emit(envelope: dict[str, Any], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(envelope, indent=2))
+        return
+    if fmt == "csv":  # table's rows only
+        print(",".join(_TABLE_COLUMNS))
+        for row in envelope["result"]["rows"]:
+            print(",".join("" if row[c] is None else _render_value(row[c])
+                           for c in _TABLE_COLUMNS))
         return
     print(f"command: {envelope['command']}")
     params = " ".join(
@@ -149,6 +154,10 @@ def _emit(envelope: dict[str, Any], fmt: str) -> None:
 # ============================================================
 # Subcommand handlers
 # ============================================================
+
+# A handler's answer: the envelope's result, and a falsified internal
+# check that main raises once the result is out.
+_Answer = tuple[dict[str, Any], InternalCheckError | None]
 
 
 def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
@@ -178,13 +187,11 @@ def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
     return fields
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
-    params = {"m": args.m, "n": args.n, "r": args.r, "family": args.family}
+def _cmd_threshold(args: argparse.Namespace) -> _Answer:
     p = Params(args.m, args.n, args.r)
-    _check_limit("theta scan steps", _theta_steps(p.m, p.n, p.r), MAX_THETA_STEPS)
-    result = _threshold_fields(p, args.family)
-    _emit(_envelope("threshold", params, result), args.format)
-    return EXIT_OK
+    scanned = p.n if args.family == "multipartite" else max(p.m, p.n)
+    _check_limit("theta scan steps", _theta_steps(scanned, p.r), MAX_THETA_STEPS)
+    return _threshold_fields(p, args.family), None
 
 
 def _node_limit_from_env() -> int:
@@ -209,15 +216,7 @@ _DECIDERS = {
 }
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "r": args.r,
-        "k": args.k,
-        "family": args.family,
-        "oracle": args.oracle,
-    }
+def _cmd_decide(args: argparse.Namespace) -> _Answer:
     p = Params(args.m, args.n, args.r)
     if args.family == "kronecker":  # K_{m(n)} is not symmetric in m and n
         p = p.canonical()
@@ -225,35 +224,19 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     colorable, reason = verdict(p, args.k)
 
     result: dict[str, Any] = {"colorable": colorable, "reason": reason, "oracle": None}
-    mismatch = False
     if args.oracle:
         budget = replace(DEFAULT_BUDGET, node_limit=_node_limit_from_env())
         oracle_says = oracle(p, args.k, budget)
-        result["oracle"] = {
-            "colorable": oracle_says,
-            "agrees": oracle_says == colorable,
-        }
-        mismatch = oracle_says != colorable
-    _emit(_envelope("decide", params, result), args.format)
-    if mismatch:
-        print(
-            f"internal invariant falsified: formula says {colorable}, "
-            f"oracle says {not colorable} for m={args.m} n={args.n} "
-            f"r={args.r} k={args.k} ({args.family})",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
-    return EXIT_OK
+        result["oracle"] = {"colorable": oracle_says, "agrees": oracle_says == colorable}
+        if oracle_says != colorable:
+            return result, InternalCheckError(
+                f"formula says {colorable}, oracle says {not colorable} for "
+                f"m={args.m} n={args.n} r={args.r} k={args.k} ({args.family})"
+            )
+    return result, None
 
 
-def _cmd_color(args: argparse.Namespace) -> int:
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "r": args.r,
-        "k": args.k,
-        "out": args.out,
-    }
+def _cmd_color(args: argparse.Namespace) -> _Answer:
     p = Params(args.m, args.n, args.r)
     _check_limit("m*n", p.m * p.n, MAX_COLOR_CELLS)
     _check_limit("k", args.k, MAX_COLOR_K)
@@ -282,8 +265,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         write_coloring(args.out, coloring)
     else:
         result["coloring"] = format_coloring(coloring)
-    _emit(_envelope("color", params, result), args.format)
-    return EXIT_OK
+    return result, None
 
 
 def _read_ascii(path: str) -> str:
@@ -294,14 +276,10 @@ def _read_ascii(path: str) -> str:
     except OSError as exc:
         raise ParameterDomainError(f"cannot read {path}: {exc}") from exc
     _check_limit("file bytes", len(data), MAX_VERIFY_BYTES)
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ColoringFileError(f"file is not ASCII: {exc}", 1) from exc
+    return decode_ascii(data)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    params = {"r": args.r, "file": args.file}
+def _cmd_verify(args: argparse.Namespace) -> _Answer:
     # Neither the bytes nor the text outlive the parse.
     coloring = parse_coloring(_read_ascii(args.file))
     _check_limit("m*n", coloring.m * coloring.n, MAX_COLOR_CELLS)
@@ -315,8 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {"kind": v.kind.value, "detail": v.detail} for v in report.violations
         ],
     }
-    _emit(_envelope("verify", params, result), args.format)
-    return EXIT_OK
+    return result, None
 
 
 _RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -358,20 +335,14 @@ def _table_row(m: int, n: int, r: int) -> dict[str, Any]:
     return row
 
 
-_TABLE_COLUMNS = [
-    "m", "n", "r", "kronecker", "case", "multipartite", "equal",
-    "equ_bound", "equality_guaranteed",
-]
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> _Answer:
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
     r_range = _parse_range(args.r, "r")
     count = math.prod(max(0, x.stop - x.start) for x in (m_range, n_range, r_range))
     _check_limit("rows", count, MAX_TABLE_ROWS)
-    if count:
-        steps = _theta_steps(m_range[-1], n_range[-1], r_range[-1])
+    if count:  # the Kronecker rows scan the most, over max(m, n)
+        steps = _theta_steps(max(m_range[-1], n_range[-1]), r_range[-1])
         _check_limit("rows * theta scan steps", count * steps, MAX_THETA_STEPS)
     rows = []
     for m in m_range:
@@ -382,26 +353,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     # The guarantee says thresholds coincide from the
                     # bound on; a counterexample is an internal
                     # contradiction, not a user error.
-                    print(
-                        f"internal invariant falsified: m={m} n={n} r={r} "
-                        f"has n >= {row['equ_bound']} but thresholds "
-                        f"{row['kronecker']} != {row['multipartite']}",
-                        file=sys.stderr,
+                    raise InternalCheckError(
+                        f"m={m} n={n} r={r} has n >= {row['equ_bound']} but "
+                        f"thresholds {row['kronecker']} != {row['multipartite']}"
                     )
-                    return EXIT_INTERNAL
                 rows.append(row)
-    if args.format == "json":
-        params = {"m": args.m, "n": args.n, "r": args.r}
-        _emit(_envelope("table", params, {"rows": rows}), "json")
-    else:
-        print(",".join(_TABLE_COLUMNS))
-        for row in rows:
-            print(",".join(_csv_cell(row[c]) for c in _TABLE_COLUMNS))
-    return EXIT_OK
-
-
-def _csv_cell(value: Any) -> str:
-    return "" if value is None else _render_value(value)
+    return {"rows": rows}, None
 
 
 # ============================================================
@@ -480,8 +437,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    params = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "format", "handler")
+    }
     try:
-        return args.handler(args)
+        result, failure = args.handler(args)
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "params": params,
+            "result": result,
+        }
+        _emit(envelope, args.format)
+        if failure is not None:
+            raise failure
+        return EXIT_OK
     except (ParameterDomainError, ColoringFileError, GridBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,23 +8,23 @@ colorings after serialization.
 
 Four plans, one realizer.  Every class lies inside one row or one column,
 and a witness is fixed by a plan (b, C, G): base class size b, C cells
-that rows hand over to column classes, G column classes.  The product
-constructor picks the plan by where k falls relative to gamma =
-gamma(m, n, r), n and m*n, and :func:`_realize` places the classes:
+that rows hand over to column classes, G column classes.  The reason
+tag of :func:`~equicolor.closed_forms.kronecker_verdict` picks the plan,
+then k against n and m*n, and :func:`_realize` places the classes:
 
-* m <= k < gamma, and every K_{m(n)}: multipartite rows,
-  b = n // ceil(k/m), C = G = 0; the decision rule guarantees the
-  multipartite size condition.  b = 0 (when ceil(k/m) > n) leaves the
-  per-row class count unbounded, so k > m*n gives empty classes.
-* gamma <= k <= n: columns plus row splits, b = m, C = c*m, G = c: c =
-  k - m*s' full columns, and every row split into s' classes of sizes in
-  [m, m+r], where s = n // (m+r) and s' is s, or s+1 when the residue
-  n mod (m+r) exceeds m.  This is the construction that witnesses gamma.
-* n < k <= m*n: scatter, b and C scanned, G computed, by
-  :func:`_scatter_layout`.  Classes need not be contiguous - a class is
-  any subset of one row or one column - and that freedom is essential:
-  some instances (for example m=6, n=10, r=1, k=15) admit no coloring
-  made of contiguous runs.
+* ``edgeless`` or ``multipartite-condition``, and every K_{m(n)}:
+  multipartite rows, b = n // ceil(k/m), C = G = 0; the tag certifies
+  the multipartite size condition.  b = 0 (when ceil(k/m) > n) leaves
+  the per-row class count unbounded, so k > m*n gives empty classes.
+* ``at-or-above-gamma``, k <= n: columns plus row splits, b = m, C = c*m,
+  G = c: c = k - m*s' full columns, and every row split into s' classes
+  of sizes in [m, m+r], where s = n // (m+r) and s' is s, or s+1 when
+  the residue n mod (m+r) exceeds m.  This construction witnesses gamma.
+* n < k <= m*n: scatter, b and C scanned, G computed; the scan
+  :func:`_scatter_layout` returns the plan.  Classes need not be
+  contiguous - a class is any subset of one row or one column - and that
+  freedom is essential: some instances (for example m=6, n=10, r=1,
+  k=15) admit no coloring made of contiguous runs.
 * k > m*n: singletons; every cell is its own class and the remaining
   k - m*n classes stay empty, last (the size gap is 1 <= r).
 
@@ -36,9 +36,9 @@ from __future__ import annotations
 from itertools import filterfalse, islice, product, repeat
 
 from .closed_forms import (
+    REASON_AT_OR_ABOVE_GAMMA,
     Params,
     ceil_div,
-    gamma,
     kronecker_verdict,
     multipartite_verdict,
 )
@@ -127,8 +127,8 @@ def color_multipartite(p: Params, k: int) -> Coloring:
 def color_kronecker(p: Params, k: int) -> Coloring:
     """An r-equitable k-coloring of K_m x K_n (canonical m <= n).
 
-    Dispatches on k as described in the module docstring; the edgeless
-    1-by-n grid is the same graph as K_{1(n)} and is colored as such.
+    The verdict's reason tag picks the plan, as the module docstring says;
+    the edgeless 1-by-n grid is K_{1(n)} and gets the multipartite rows.
     The returned coloring always has exactly k classes, every class
     inside one row or one column, and size gap at most r.
 
@@ -143,25 +143,22 @@ def color_kronecker(p: Params, k: int) -> Coloring:
             f"({reason})",
             reason,
         )
-    if p.m == 1:
-        return color_multipartite(p, k)
-    g = gamma(p).value
-    if g > p.n:
-        raise InternalCheckError(f"gamma {g} exceeds n for {p}")
-    if k < g:
-        return color_multipartite(p, k)
-    if k <= p.n:
+    if reason != REASON_AT_OR_ABOVE_GAMMA:  # edgeless or multipartite-condition
+        plan = (p.n // ceil_div(k, p.m), 0, 0)
+    elif k <= p.n:
         s = p.n // (p.m + p.r)
         s_eff = s + 1 if p.n % (p.m + p.r) > p.m else s
         c = k - p.m * s_eff
-        return _realize(p, k, p.m, c * p.m, c)
-    if k <= p.m * p.n:
-        return _scatter_layout(p, k)
-    return _singletons(p, k)
+        plan = (p.m, c * p.m, c)
+    elif k <= p.m * p.n:
+        plan = _scatter_layout(p, k)
+    else:
+        return _singletons(p, k)
+    return _realize(p, k, *plan)
 
 
-def _scatter_layout(p: Params, k: int) -> Coloring:
-    """The n < k <= m*n plan: column classes fed near-evenly by the rows.
+def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
+    """The n < k <= m*n plan (b, C, G): column classes fed by the rows.
 
     Scans a base size b from m*n // k, the largest min size any k-class
     partition allows, down to 1, and a columnar cell total C from 0 up;
@@ -193,7 +190,7 @@ def _scatter_layout(p: Params, k: int) -> Coloring:
                 # Also rejects C the columns cannot hold (least G > col_budget).
                 col_cls = max(_least_column_classes(cells, m, n, w), k - p_hi)
                 if col_cls <= min(cells // b, col_budget) and p_lo <= k - col_cls:
-                    return _realize(p, k, b, cells, col_cls)
+                    return b, cells, col_cls
     raise InternalCheckError(
         f"no scatter layout found for {p}, k={k}; "
         f"the decision rule said this instance is colorable"

@@ -197,7 +197,18 @@ def write_coloring(path: str | Path, coloring: Coloring) -> None:
     Path(path).write_bytes(format_coloring(coloring).encode("ascii"))
 
 
+def decode_ascii(data: bytes) -> str:
+    """``data`` as ASCII text, or a file error at the line of its first
+    non-ASCII byte."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line, reason = data.count(b"\n", 0, exc.start) + 1, str(exc)
+    # Raised outside the handler, so the error holds no reference to data.
+    raise ColoringFileError(f"file is not ASCII: {reason}", line)
+
+
 def read_coloring(path: str | Path) -> Coloring:
     """Read and parse a coloring file, with no newline translation (CRLF
     fails at line 1)."""
-    return parse_coloring(Path(path).read_bytes().decode("ascii"))
+    return parse_coloring(decode_ascii(Path(path).read_bytes()))

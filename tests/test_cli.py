@@ -4,7 +4,9 @@ Commands run in-process through ``main(argv)``; stdout is parsed and,
 for JSON output, validated against the envelope schema below.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import threading
@@ -14,8 +16,10 @@ import jsonschema
 import pytest
 
 from equicolor import cli
+from equicolor import closed_forms as cf
 from equicolor.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_NOT_COLORABLE,
     EXIT_OK,
     EXIT_USAGE,
@@ -24,7 +28,7 @@ from equicolor.cli import (
     main,
 )
 from equicolor.files import parse_coloring
-from equicolor.grid import verify
+from equicolor.grid import Coloring, verify
 
 # One fixed schema covering every envelope the CLI emits at
 # SCHEMA_VERSION.  Bump SCHEMA_VERSION on any breaking change.
@@ -247,6 +251,14 @@ def test_threshold_text_format(capsys):
     assert "case: residue-small-gap" in lines
 
 
+def test_multipartite_threshold_estimate_walks_n_only(capsys):
+    # K_{m(n)}'s theta scan walks n; an estimate over max(m, n) refused
+    # this instance with 31606961 steps.
+    env = run_json(["threshold", "--family", "multipartite", "-m", "1000000000000",
+                    "-n", "5", "-r", "1000"], capsys)
+    assert env["result"]["value"] == cf.threshold_multipartite(cf.Params(10**12, 5, 1000))
+
+
 def test_threshold_rejects_bad_parameters(capsys):
     run(
         ["threshold", "--family", "kronecker", "-m", "0", "-n", "3", "-r", "1"],
@@ -431,6 +443,13 @@ def test_verify_rejects_crlf_line_endings(capsys, tmp_path):
     assert "line 1: expected header" in captured.err
 
 
+def test_verify_reports_a_non_ascii_byte_at_its_line(capsys, tmp_path):
+    path = tmp_path / "latin.ec"
+    path.write_bytes(b"equicolor v1\nm=1 n=2 k=1\n1: (1,1) (1,\xd9\xa2)\n")
+    captured = run(["verify", "-r", "1", str(path)], capsys, expect=EXIT_USAGE)
+    assert captured.err.startswith("error: line 3: file is not ASCII: ")
+
+
 def test_verify_numbers_beyond_int_digit_limit_exit_2(capsys, tmp_path):
     huge = "9" * 5000  # int() reads at most 4300 digits
     path = tmp_path / "huge.ec"
@@ -515,6 +534,68 @@ def test_table_rejects_range_bounds_beyond_int_digit_limit(capsys):
         captured = run(["table", "-m", bounds, "-n", "2", "-r", "1"], capsys,
                        expect=EXIT_USAGE)
         assert "m range bound has too many digits" in captured.err
+
+
+# ------------------------------------------------------------
+# internal invariants (exit 5)
+# ------------------------------------------------------------
+
+
+def test_decide_oracle_disagreement_prints_envelope_then_exits_5(monkeypatch):
+    def contrary(p, k, budget):
+        return not cf.kronecker_colorable(p, k)
+
+    monkeypatch.setitem(cli._DECIDERS, "kronecker", (cf.kronecker_verdict, contrary))
+    both = io.StringIO()  # one buffer, so the order of the streams shows
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        code = main(["decide", "-m", "3", "-n", "7", "-r", "2", "-k", "4",
+                     "--oracle", "--format", "json"])
+    assert code == EXIT_INTERNAL
+    line = ("internal invariant falsified: formula says False, oracle says "
+            "True for m=3 n=7 r=2 k=4 (kronecker)\n")
+    text = both.getvalue()
+    assert text.endswith(line)
+    envelope = json.loads(text[: -len(line)])
+    jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    assert envelope["result"]["oracle"] == {"colorable": True, "agrees": False}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_equality_contradiction_exits_5_with_no_output(fmt, capsys, monkeypatch):
+    real = cli._table_row
+
+    def contradicted(m, n, r):
+        row = real(m, n, r)
+        if row["equality_guaranteed"]:
+            row["equal"] = False
+        return row
+
+    monkeypatch.setattr(cli, "_table_row", contradicted)
+    captured = run(["table", "-m", "2", "-n", "19..21", "-r", "2", "--format", fmt],
+                   capsys, expect=EXIT_INTERNAL)
+    assert captured.out == ""
+    assert captured.err == ("internal invariant falsified: m=2 n=20 r=2 has "
+                            "n >= 20 but thresholds 6 != 6\n")
+
+
+def test_color_self_check_failure_exits_5_with_no_output(capsys, monkeypatch):
+    real = cli.color_kronecker
+
+    def corrupted(p, k):
+        good = real(p, k)
+        first, second, *rest = good.classes
+        moved = (first[1:], second + first[:1], *rest)
+        return Coloring(good.m, good.n, moved)
+
+    monkeypatch.setattr(cli, "color_kronecker", corrupted)
+    bad = corrupted(cf.Params(2, 10, 2), 6)
+    details = "; ".join(v.detail for v in verify(2, bad).violations)
+    assert details
+    captured = run(["color", "-m", "2", "-n", "10", "-r", "2", "-k", "6"], capsys,
+                   expect=EXIT_INTERNAL)
+    assert captured.out == ""
+    assert captured.err == ("internal invariant falsified: constructed coloring "
+                            f"failed verification: {details}\n")
 
 
 # ------------------------------------------------------------

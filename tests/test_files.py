@@ -482,3 +482,15 @@ def test_read_rejects_crlf_line_endings(tmp_path):
     with pytest.raises(ColoringFileError) as exc:
         read_coloring(path)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("at, line", [(0, 1), (len("equicolor v1\nm=2 n=2 k=2\n1: "), 3),
+                                      (len(GOLDEN) - 1, 4)])
+def test_read_reports_a_non_ascii_byte_at_its_line(at, line, tmp_path):
+    path = tmp_path / "latin.ec"
+    path.write_bytes(GOLDEN[:at].encode("ascii") + b"\xe9" + GOLDEN[at:].encode("ascii"))
+    with pytest.raises(ColoringFileError) as exc:
+        read_coloring(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: file is not ASCII: ")
+    assert exc.value.__context__ is None  # the error keeps no hold on the bytes
