@@ -46,19 +46,17 @@ from .grid import (
     VerificationReport,
     Violation,
     ViolationKind,
-    adjacent,
     verify,
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    Family,
     OracleBudget,
     oracle_kronecker_colorable,
     oracle_multipartite_colorable,
     oracle_threshold,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BudgetExceededError",
@@ -66,7 +64,6 @@ __all__ = [
     "ColoringFileError",
     "DEFAULT_BUDGET",
     "EquicolorError",
-    "Family",
     "GammaResult",
     "GridBoundsError",
     "InfeasibleWindowError",
@@ -81,7 +78,6 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "ViolationKind",
-    "adjacent",
     "ceil_div",
     "color_kronecker",
     "color_multipartite",

@@ -12,8 +12,9 @@ Exit codes: 0 success, 2 usage or parameter-domain error (including
 malformed coloring files), 3 oracle budget exceeded, 4 witness requested
 for an instance that is not colorable, 5 internal invariant falsified
 (e.g. a constructed coloring failing its own verifier, or a sweep row
-contradicting the threshold-equality guarantee).  Only an oracle that
-disagrees with ``decide``'s verdict exits 5 after its envelope is out.
+contradicting the threshold-equality guarantee; every other library
+error is such a fault too).  Only an oracle that disagrees with
+``decide``'s verdict exits 5 after its envelope is out.
 
 Instances with m = 1 or n = 1 (and K_{1(n)}) are edgeless.  The library
 verdicts and the constructor handle them; only the closed-form thresholds
@@ -44,10 +45,10 @@ from .errors import (
     BudgetExceededError,
     ColoringFileError,
     EquicolorError,
-    GridBoundsError,
     InternalCheckError,
     NotColorableError,
     ParameterDomainError,
+    require_int,
 )
 from .files import decode_ascii, format_coloring, parse_coloring, write_coloring
 from .grid import verify
@@ -204,8 +205,7 @@ def _node_limit_from_env() -> int:
         raise ParameterDomainError(
             f"{NODE_LIMIT_ENV} must be an integer, got {raw!r}"
         ) from None
-    if value < 1:
-        raise ParameterDomainError(f"{NODE_LIMIT_ENV} must be >= 1, got {value}")
+    require_int(NODE_LIMIT_ENV, value, 1)
     return value
 
 
@@ -453,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         if failure is not None:
             raise failure
         return EXIT_OK
-    except (ParameterDomainError, ColoringFileError, GridBoundsError) as exc:
+    except (ParameterDomainError, ColoringFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
@@ -462,12 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotColorableError as exc:
         print(f"not colorable: {exc}", file=sys.stderr)
         return EXIT_NOT_COLORABLE
-    except InternalCheckError as exc:
+    except EquicolorError as exc:  # InternalCheckError, or any other fault
         print(f"internal invariant falsified: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except EquicolorError as exc:  # safety net for future subclasses
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalCheckError, ParameterDomainError
+from .errors import InternalCheckError, ParameterDomainError, require_int
 
 # ============================================================
 # Reason tags for single-k decisions
@@ -77,13 +77,6 @@ def ceil_div(a: int, b: int) -> int:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ParameterDomainError(message)
-
-
-def _require_int(name: str, value: int, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterDomainError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ParameterDomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 # ============================================================
@@ -107,9 +100,9 @@ class Params:
     r: int
 
     def __post_init__(self) -> None:
-        _require_int("m", self.m, 1)
-        _require_int("n", self.n, 1)
-        _require_int("r", self.r, 1)
+        require_int("m", self.m, 1)
+        require_int("n", self.n, 1)
+        require_int("r", self.r, 1)
 
     def canonical(self) -> "Params":
         """The orientation with m <= n, swapping the factors if needed."""
@@ -180,8 +173,8 @@ def theta_balanced(n: int, r: int) -> int:
     cannot coexist within gap r.  The scan terminates: theta = n always
     satisfies the condition (n // (n+1) = 0 < 1).
     """
-    _require_int("n", n, 1)
-    _require_int("r", r, 1)
+    require_int("n", n, 1)
+    require_int("r", r, 1)
     return _least_balanced(n, r, 1)
 
 
@@ -286,7 +279,7 @@ def multipartite_verdict(p: Params, k: int) -> tuple[bool, str]:
     * ``multipartite-condition``: k >= m and the condition holds.
     * ``multipartite-condition-failed``: k >= m and it fails.
     """
-    _require_int("k", k, 1)
+    require_int("k", k, 1)
     if p.m == 1:
         return True, REASON_EDGELESS
     if k < p.m:
@@ -316,7 +309,7 @@ def kronecker_verdict(p: Params, k: int) -> tuple[bool, str]:
     * ``multipartite-condition``: m <= k < gamma, colorable via K_{m(n)}.
     * ``multipartite-condition-failed``: m <= k < gamma, not colorable.
     """
-    _require_int("k", k, 1)
+    require_int("k", k, 1)
     if p.m == 1:
         return True, REASON_EDGELESS
     _require(
@@ -345,9 +338,10 @@ def equ_bound(m: int, r: int) -> int:
     """ceil((m+r)*(m+2r-1) / (r-1)): for n at least this, thresholds match.
 
     For every n >= equ_bound(m, r) the Kronecker and multipartite
-    thresholds coincide.  Requires m >= 2 and r >= 2 (the bound diverges
-    as r -> 1, and indeed for r = 1 the thresholds differ for every n).
+    thresholds coincide.  Requires m >= 2 and r >= 2: the bound diverges
+    as r -> 1, and at r = 1 the thresholds agree for some n, as at
+    (m, n) = (2, 6), and differ for others, as at (3, 4).
     """
-    _require_int("m", m, 2)
-    _require_int("r", r, 2)
+    require_int("m", m, 2)
+    require_int("r", r, 2)
     return ceil_div((m + r) * (m + 2 * r - 1), r - 1)

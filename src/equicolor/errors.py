@@ -1,8 +1,10 @@
-"""Exception hierarchy for the equicolor package.
+"""Exception hierarchy for the equicolor package, and its one domain check.
 
 Every error raised by the library derives from :class:`EquicolorError` so
 callers can catch one base class.  The CLI maps each subclass to a distinct
 exit code; nothing in the library ever calls ``sys.exit`` itself.
+:func:`require_int` is the integer-domain rule every module applies to
+m, n, r, k and the oracle budgets.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ class EquicolorError(Exception):
 
 class ParameterDomainError(EquicolorError, ValueError):
     """An input parameter is outside the documented domain (e.g. m < 1)."""
+
+
+def require_int(name: str, value: int, minimum: int) -> None:
+    """Raise :class:`ParameterDomainError` unless ``value`` is an int (not
+    a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterDomainError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ParameterDomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 class GridBoundsError(EquicolorError, ValueError):

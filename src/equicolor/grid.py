@@ -27,21 +27,13 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .errors import GridBoundsError, ParameterDomainError
+from .errors import GridBoundsError, ParameterDomainError, require_int
 
 # ============================================================
-# Cells and adjacency
+# Cells
 # ============================================================
 
 Cell = tuple[int, int]  # (row, col)
-
-
-def adjacent(u: Cell, v: Cell) -> bool:
-    """Adjacency in K_m x K_n: the cells differ in row and in column.
-
-    Irreflexive and symmetric by construction.
-    """
-    return u[0] != v[0] and u[1] != v[1]
 
 
 # ============================================================
@@ -114,8 +106,7 @@ def verify(r: int, coloring: Coloring) -> VerificationReport:
     Returns:
         A report with ``valid`` true iff no violations were found.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ParameterDomainError(f"r must be an int >= 1, got {r!r}")
+    require_int("r", r, 1)
     m, n = coloring.m, coloring.n
     if m < 1 or n < 1:
         raise ParameterDomainError(f"grid must be nonempty, got m={m} n={n}")

@@ -6,8 +6,10 @@ independently:
 
 * :func:`oracle_kronecker_colorable` backtracks over the grid cells in
   row-major order, assigning each cell to a color class and checking
-  independence pairwise against the adjacency rule.  It never reasons
-  about rows and columns as such.
+  independence pairwise against the adjacency rule.  Only its
+  row-boundary prune reasons about rows and columns: it rests on the
+  fact that an independent set lies in one row or one column, so once a
+  row is finished, a class not confined to one column never grows again.
 * :func:`oracle_multipartite_colorable` searches per-part color counts
   and a common size-window base for K_{m(n)}.  It enumerates candidate
   count distributions explicitly instead of evaluating the closed-form
@@ -36,11 +38,11 @@ order; the test suite checks that under row and column relabelings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 from .closed_forms import Params, ceil_div
-from .errors import BudgetExceededError, ParameterDomainError
+from .errors import BudgetExceededError, require_int
 
 # ============================================================
 # Budgets
@@ -63,26 +65,10 @@ class OracleBudget:
 
     def __post_init__(self) -> None:
         for name in ("max_vertices", "max_k", "node_limit"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ParameterDomainError(
-                    f"OracleBudget.{name} must be a positive int, got {v!r}"
-                )
+            require_int(f"OracleBudget.{name}", getattr(self, name), 1)
 
 
 DEFAULT_BUDGET = OracleBudget()
-
-
-class Family(Enum):
-    """Which graph family an oracle threshold is asked about."""
-
-    KRONECKER = "kronecker"
-    MULTIPARTITE = "multipartite"
-
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ParameterDomainError(f"k must be an int >= 1, got {k!r}")
 
 
 # ============================================================
@@ -103,7 +89,7 @@ def oracle_kronecker_colorable(
         BudgetExceededError: m*n > budget.max_vertices, k > budget.max_k,
             or the search visits more than budget.node_limit nodes.
     """
-    _check_k(k)
+    require_int("k", k, 1)
     total = p.m * p.n
     if total > budget.max_vertices:
         raise BudgetExceededError(
@@ -287,9 +273,7 @@ def oracle_multipartite_colorable(
         BudgetExceededError: k > budget.max_k, or more than
             budget.node_limit (distribution, window base) pairs examined.
     """
-    _check_k(k)
-    if p.m < 1:
-        raise ParameterDomainError(f"m must be >= 1, got {p.m}")
+    require_int("k", k, 1)
     if k > budget.max_k:
         raise BudgetExceededError(
             f"k = {k} exceeds max_k = {budget.max_k}", "max_k"
@@ -335,10 +319,12 @@ def _count_multisets(total: int, parts: int, cap: int):
 
 
 def oracle_threshold(
-    p: Params, which: Family, budget: OracleBudget = DEFAULT_BUDGET
+    p: Params,
+    decide: Callable[[Params, int, OracleBudget], bool],
+    budget: OracleBudget = DEFAULT_BUDGET,
 ) -> int:
-    """Least k such that the oracle says colorable for every k' in
-    [k, m*n + 1].
+    """Least k such that ``decide`` (one of the two oracles above) says
+    colorable for every k' in [k, m*n + 1].
 
     The scan may stop at m*n + 1 because for k > m*n a coloring always
     exists: make every vertex a singleton and leave the remaining classes
@@ -348,12 +334,6 @@ def oracle_threshold(
     Raises:
         BudgetExceededError: propagated from the per-k oracle calls.
     """
-    if which is Family.KRONECKER:
-        decide = oracle_kronecker_colorable
-    elif which is Family.MULTIPARTITE:
-        decide = oracle_multipartite_colorable
-    else:
-        raise ParameterDomainError(f"unknown family {which!r}")
     last_false = 0
     for k in range(1, p.m * p.n + 2):
         if not decide(p, k, budget):

@@ -18,7 +18,6 @@ from equicolor.construct import color_kronecker
 from equicolor.errors import BudgetExceededError
 from equicolor.grid import verify
 from equicolor.oracle import (
-    Family,
     OracleBudget,
     oracle_kronecker_colorable,
     oracle_multipartite_colorable,
@@ -113,10 +112,10 @@ def test_thresholds_match_oracle_and_hit_both_branches(capsys):
         p = Params(m, n, r)
         t = cf.threshold_kronecker(p)
         branch_hits[t.case.value] += 1
-        if t.value != oracle_threshold(p, Family.KRONECKER, WIDE_BUDGET):
+        if t.value != oracle_threshold(p, oracle_kronecker_colorable, WIDE_BUDGET):
             mismatches.append(("kronecker", m, n, r, t.value))
         mt = cf.threshold_multipartite(p)
-        if mt != oracle_threshold(p, Family.MULTIPARTITE, WIDE_BUDGET):
+        if mt != oracle_threshold(p, oracle_multipartite_colorable, WIDE_BUDGET):
             mismatches.append(("multipartite", m, n, r, mt))
     ok = (
         not mismatches

@@ -17,6 +17,7 @@ import pytest
 
 from equicolor import cli
 from equicolor import closed_forms as cf
+from equicolor import construct
 from equicolor.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -336,6 +337,16 @@ def test_decide_oracle_node_limit_env_must_be_integer(capsys, monkeypatch):
     )
 
 
+def test_decide_oracle_node_limit_env_must_be_positive(capsys, monkeypatch):
+    monkeypatch.setenv(NODE_LIMIT_ENV, "0")
+    captured = run(
+        ["decide", "-m", "2", "-n", "2", "-r", "1", "-k", "2", "--oracle"],
+        capsys,
+        expect=EXIT_USAGE,
+    )
+    assert captured.err == f"error: {NODE_LIMIT_ENV} must be >= 1, got 0\n"
+
+
 def test_decide_rejects_k_zero(capsys):
     run(
         ["decide", "-m", "2", "-n", "2", "-r", "1", "-k", "0"],
@@ -596,6 +607,35 @@ def test_color_self_check_failure_exits_5_with_no_output(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("internal invariant falsified: constructed coloring "
                             f"failed verification: {details}\n")
+
+
+def test_color_witness_off_the_grid_exits_5_with_no_output(capsys, monkeypatch):
+    # The self-check's verify raises GridBoundsError on it: a fault of the
+    # constructor, not of the user's input.
+    def stray(p, k):
+        return Coloring(3, 4, (((4, 1),), *[()] * (k - 1)))
+
+    monkeypatch.setattr(cli, "color_kronecker", stray)
+    captured = run(["color", "-m", "3", "-n", "4", "-r", "1", "-k", "4"], capsys,
+                   expect=EXIT_INTERNAL)
+    assert captured.out == ""
+    assert captured.err == ("internal invariant falsified: vertex (4,1) "
+                            "outside the 3x4 grid\n")
+
+
+def test_color_infeasible_window_in_the_realizer_exits_5_with_no_output(
+    capsys, monkeypatch
+):
+    real = construct.split_sizes
+
+    def infeasible(total, count, lo, r):
+        return real(total, count, total + 1, r)
+
+    monkeypatch.setattr(construct, "split_sizes", infeasible)
+    captured = run(["color", "-m", "3", "-n", "4", "-r", "1", "-k", "4"], capsys,
+                   expect=EXIT_INTERNAL)
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant falsified: cannot split ")
 
 
 # ------------------------------------------------------------

@@ -26,6 +26,11 @@ from equicolor.closed_forms import (
     threshold_multipartite,
 )
 from equicolor.errors import ParameterDomainError
+from equicolor.oracle import (
+    oracle_kronecker_colorable,
+    oracle_multipartite_colorable,
+    oracle_threshold,
+)
 
 # ------------------------------------------------------------
 # Params
@@ -311,6 +316,22 @@ def test_equ_bound_frozen_values():
     assert equ_bound(3, 2) == 30
     # ceil((2+3)*(2+6-1)/2) = ceil(35/2) = 18, by direct evaluation.
     assert equ_bound(2, 3) == 18
+
+
+@pytest.mark.parametrize(
+    "m, n, kronecker, multipartite",
+    [(2, 2, 2, 2), (2, 6, 4, 4), (2, 8, 6, 6), (3, 4, 3, 6)],
+)
+def test_r_1_thresholds_agree_for_some_n_and_differ_for_others(
+    m, n, kronecker, multipartite
+):
+    # equ_bound has no r = 1 value, yet agreement at r = 1 is not ruled
+    # out: both formulas and both oracle scans give these thresholds.
+    p = Params(m, n, 1)
+    assert threshold_kronecker(p).value == kronecker
+    assert threshold_multipartite(p) == multipartite
+    assert oracle_threshold(p, oracle_kronecker_colorable) == kronecker
+    assert oracle_threshold(p, oracle_multipartite_colorable) == multipartite
 
 
 def test_equ_bound_rejects_r_1():

@@ -17,13 +17,17 @@ from equicolor.grid import (
     Violation,
     ViolationKind,
     _first_adjacent_pair,
-    adjacent,
     verify,
 )
 
 # ------------------------------------------------------------
-# references: the pairwise scan and the line structure
+# references: the adjacency rule, the pairwise scan and the line structure
 # ------------------------------------------------------------
+
+
+def adjacent(u, v):
+    """Adjacency in K_m x K_n: the cells differ in row and in column."""
+    return u[0] != v[0] and u[1] != v[1]
 
 
 def pairwise_first_adjacent_pair(cls):
@@ -112,7 +116,7 @@ def outcome(route, r, coloring):
 
 
 # ------------------------------------------------------------
-# adjacency
+# adjacency (the reference rule above)
 # ------------------------------------------------------------
 
 
@@ -303,8 +307,16 @@ def test_verify_with_no_classes_is_not_a_partition():
 
 
 def test_verify_validates_r():
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError, match="r must be >= 1, got 0"):
         verify(0, rows_coloring())
+    with pytest.raises(ParameterDomainError, match="r must be an int, got True"):
+        verify(True, rows_coloring())
+
+
+def test_verify_rejects_an_empty_grid():
+    with pytest.raises(ParameterDomainError,
+                       match="grid must be nonempty, got m=0 n=3"):
+        verify(1, Coloring(0, 3, ((),)))
 
 
 def test_coloring_k_and_sizes():

@@ -19,7 +19,6 @@ from equicolor.closed_forms import (
 from equicolor.errors import BudgetExceededError, ParameterDomainError
 from equicolor.oracle import (
     DEFAULT_BUDGET,
-    Family,
     OracleBudget,
     _search_kronecker,
     oracle_kronecker_colorable,
@@ -34,10 +33,24 @@ from equicolor.oracle import (
 
 def test_budget_defaults_and_validation():
     assert DEFAULT_BUDGET.max_vertices == 24
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError,
+                       match="OracleBudget.max_vertices must be >= 1, got 0"):
         OracleBudget(max_vertices=0)
     with pytest.raises(ParameterDomainError):
         OracleBudget(node_limit=-5)
+    with pytest.raises(ParameterDomainError,
+                       match="OracleBudget.max_k must be an int, got True"):
+        OracleBudget(max_k=True)
+
+
+@pytest.mark.parametrize(
+    "oracle", [oracle_kronecker_colorable, oracle_multipartite_colorable]
+)
+def test_oracles_check_k(oracle):
+    with pytest.raises(ParameterDomainError, match="k must be >= 1, got 0"):
+        oracle(Params(2, 2, 1), 0)
+    with pytest.raises(ParameterDomainError, match="k must be an int, got False"):
+        oracle(Params(2, 2, 1), False)
 
 
 def test_vertex_cap_is_an_error_not_a_verdict():
@@ -151,16 +164,16 @@ def test_oracle_multipartite_single_part():
 
 
 def test_oracle_threshold_frozen_examples():
-    assert oracle_threshold(Params(2, 2, 1), Family.KRONECKER) == 2
-    assert oracle_threshold(Params(3, 7, 2), Family.KRONECKER) == 5
-    assert oracle_threshold(Params(2, 10, 2), Family.MULTIPARTITE) == 4
+    assert oracle_threshold(Params(2, 2, 1), oracle_kronecker_colorable) == 2
+    assert oracle_threshold(Params(3, 7, 2), oracle_kronecker_colorable) == 5
+    assert oracle_threshold(Params(2, 10, 2), oracle_multipartite_colorable) == 4
 
 
 def test_oracle_threshold_sees_the_non_monotone_dip():
     p = Params(3, 7, 2)
     assert oracle_kronecker_colorable(p, 3) is True
     assert oracle_kronecker_colorable(p, 4) is False
-    assert oracle_threshold(p, Family.KRONECKER) == 5  # not 3
+    assert oracle_threshold(p, oracle_kronecker_colorable) == 5  # not 3
 
 
 # ------------------------------------------------------------
