@@ -70,7 +70,7 @@ NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 
 # Input limits.  A coloring holds one object per cell and per class, and
 # verify allocates one counter per cell of the file's grid: at 10**6 cells
-# `color` peaks at 133-229 MB of RSS and `verify` at 133-187 MB, the most
+# `color` peaks at 133-229 MB of RSS and `verify` at 96-188 MB, the most
 # for 10**6 one-cell classes.  A table row costs one threshold per family.
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6

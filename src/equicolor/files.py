@@ -20,20 +20,27 @@ parser reads the class lines in blocks of about ``_BLOCK_CHARS``
 characters, cut at a line end or else just before a cell, so a block's
 temporary strings stay small however long a line is.  A block is checked
 whole: each line must read ``<digits>:`` and then `` (<digits>,<digits>)``
-repeats, which holds exactly when its index is decimal and its body is
-its own number tokens put back into that template, every token decimal
+repeats, which holds exactly when its index is decimal, its body is its
+own number tokens put back into that template and every token is decimal
 (the same grammar as ``^(\\d+):((?: \\(\\d+,\\d+\\))*)$``, without the
-backtracking state a regex keeps per vertex).  Indexes must run on, and
-the grid bounds are checked by ``min``/``max`` over the block.  If any
-check fails, the lines the block touches are checked one by one, so the
-error reported is the first a line-by-line reading meets: a malformed
-line, then an index out of order, then a vertex outside the grid.
+backtracking state a regex keeps per vertex), and indexes must run on.
+Rows and columns are read through two tables, built per parse, from the
+names ``"1"``, ``"2"``, ... of each side to their ints: a hit proves a
+token decimal and inside the grid, and equal numbers share one int.  A
+table stops at its side, at the cells the body could hold and at
+``_BLOCK_CHARS`` names, so a header cannot make it large.  A block with a
+token the tables lack (leading zeros, other decimal digits, a larger
+number) takes the ``int`` route: ``isdecimal``, ``int()``, and grid
+bounds by ``min``/``max`` over the block.  If any check fails, the lines
+the block touches are checked one by one, so the error reported is the
+first a line-by-line reading meets: a malformed line, then an index out
+of order, then a vertex outside the grid.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 from .errors import ColoringFileError, InternalCheckError
@@ -92,6 +99,10 @@ def parse_coloring(text: str) -> Coloring:
             f"expected exactly {k} class lines for k={k}, found {found}",
             min(found, k) + 3,
         )
+    # A cell, " (i,j)", takes at least 6 characters of the body.
+    values = range(1, min(max(m, n), (end - pos) // 6, _BLOCK_CHARS) + 1)
+    names = dict(zip(map(str, values), values))
+    rows_of, cols_of = (dict(islice(names.items(), side)) for side in (m, n))
     classes: list[tuple[Cell, ...]] = []
     pending: list[Cell] = []  # cells so far of a line a block cut short
     inside = False  # whether the block at pos starts inside a line
@@ -103,7 +114,7 @@ def parse_coloring(text: str) -> Coloring:
         segments = text[pos:cut].split("\n")
         if inside:  # give the cut line its index back, so it reads as a line
             segments[0] = f"{first}:" + segments[0]
-        parts = _block_classes(segments, first, m, n)
+        parts = _block_classes(segments, first, m, n, rows_of, cols_of)
         if parts is None:
             start = text.rfind("\n", 0, pos) + 1
             stop = text.find("\n", cut, end)
@@ -122,30 +133,43 @@ def parse_coloring(text: str) -> Coloring:
 
 
 def _block_classes(
-    lines: list[str], first: int, m: int, n: int
+    lines: list[str], first: int, m: int, n: int, rows_of: dict[str, int], cols_of: dict[str, int]
 ) -> list[tuple[Cell, ...]] | None:
     """The cells of class lines first, first+1, ..., one tuple per line, or
-    None if a line is malformed, out of order or leaves the grid."""
+    None if a line is malformed, out of order or leaves the grid.  Numbers
+    are read through the name tables ``rows_of`` and ``cols_of`` when they
+    hold every token, else with int()."""
     heads, seps, bodies = zip(*map(str.partition, lines, repeat(":")))
     counts = list(map(str.count, bodies, repeat("(")))
     toks = _tokens(heads, seps, bodies, counts)
     try:
         if toks is None or list(map(int, heads)) != list(range(first, first + len(lines))):
             return None
-        nums = list(map(int, toks))
+        try:
+            rows = list(map(rows_of.__getitem__, toks[0::2]))
+            cols = list(map(cols_of.__getitem__, toks[1::2]))
+        except KeyError:  # leading zeros, other decimal digits or a large value
+            if not all(map(str.isdecimal, toks)):
+                return None
+            nums = list(map(int, toks))
+            rows, cols = nums[0::2], nums[1::2]
+            if not (1 <= min(rows) and max(rows) <= m and 1 <= min(cols) and max(cols) <= n):
+                return None
     except ValueError:  # a number too long for int(); _check_line finds it
         return None
-    rows, cols = nums[0::2], nums[1::2]
-    if rows and not (1 <= min(rows) and max(rows) <= m and 1 <= min(cols) and max(cols) <= n):
-        return None
     cells = zip(rows, cols)
-    return list(map(tuple, map(islice, repeat(cells), counts)))
+    classes: list[tuple[Cell, ...]] = []
+    for size, run in groupby(counts):  # one step per run of equal counts
+        many = len(list(run))
+        classes += islice(zip(*[cells] * size), many) if size else repeat((), many)
+    return classes
 
 
 def _tokens(
     heads: tuple[str, ...], seps: tuple[str, ...], bodies: tuple[str, ...], counts: list[int]
 ) -> list[str] | None:
-    """The number tokens of class lines, or None if one breaks the grammar.
+    """The number tokens of class lines, not yet known to be decimal, or
+    None if one breaks the grammar.
 
     The lines come split by ``str.partition(":")``; ``counts`` holds the
     opening parentheses of each body.
@@ -157,7 +181,6 @@ def _tokens(
         and all(seps)
         and all(map(str.isdecimal, heads))
         and "\n".join(map(" (%s,%s)".__mul__, counts)) % tuple(toks) == text
-        and all(map(str.isdecimal, toks))
     ):
         return toks
     return None
@@ -169,7 +192,7 @@ def _check_line(line: str, index: int, m: int, n: int) -> None:
     line_no = index + 2
     head, sep, body = line.partition(":")
     toks = _tokens((head,), (sep,), (body,), [body.count("(")])
-    if toks is None:
+    if toks is None or not all(map(str.isdecimal, toks)):
         raise ColoringFileError(
             f"malformed class line {line!r}; expected "
             f"'<class-index>: (i,j) (i,j) ...'",

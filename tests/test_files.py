@@ -462,6 +462,55 @@ def test_one_long_line_parses_in_bounded_memory():
     assert peak <= 1.5 * retained
 
 
+@pytest.mark.parametrize("m", [1, 10**9])
+def test_the_declared_grid_size_costs_no_memory(m):
+    # The parser's name tables are bounded by the body, not by m and n: a
+    # table sized from this header would hold 10**9 names.
+    text = f"equicolor v1\nm={m} n=1000000000 k=1\n1: (1,5)\n"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = parse_coloring(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.classes == (((1, 5),),)
+    assert peak < 64 * 1024
+
+
+def assert_parses_to_exact_ints_like_reference(text):
+    assert_parses_like_reference(text)
+    parsed = parse_coloring(text)
+    assert all(type(v) is int for cls in parsed.classes for cell in cls for v in cell)
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "m, n, r, k",
+    [
+        (300, 400, 1, 1000),  # scatter, with numbers past the cached small ints
+        (2, files._BLOCK_CHARS + 50, 1, 4),  # columns past the largest table
+        (1, files._BLOCK_CHARS + 300, 1, 3000),
+    ],
+)
+def test_parse_matches_reference_past_the_name_tables(m, n, r, k):
+    text = format_coloring(color_kronecker(Params(m, n, r), k))
+    assert format_coloring(assert_parses_to_exact_ints_like_reference(text)) == text
+
+
+@pytest.mark.parametrize("block_chars", [26, files._BLOCK_CHARS])
+def test_a_block_with_names_the_tables_lack_is_read_with_int(block_chars, monkeypatch):
+    # The 700 columns of a 3x700 grid as classes.  Line 350, in a middle
+    # block, writes rows 1 and 3 as "01" and a fullwidth "３"; int() reads
+    # both, so that block alone leaves the tables for the int() route.
+    monkeypatch.setattr(files, "_BLOCK_CHARS", block_chars)
+    lines = [f"{j}: (1,{j}) (2,{j}) (3,{j})" for j in range(1, 701)]
+    head = "equicolor v1\nm=3 n=700 k=700\n"
+    clean = parse_coloring(head + "\n".join(lines) + "\n")
+    lines[349] = "350: (01,350) (2,350) (\uff13,350)"
+    assert assert_parses_to_exact_ints_like_reference(head + "\n".join(lines) + "\n") == clean
+
+
 # ------------------------------------------------------------
 # file I/O
 # ------------------------------------------------------------
