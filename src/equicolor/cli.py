@@ -299,11 +299,11 @@ def _cmd_verify(args: argparse.Namespace) -> _Answer:
     return result, None
 
 
-_RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+_RANGE = re.compile(r"(\d+)(?:\.\.(\d+))?")
 
 
 def _parse_range(text: str, name: str) -> range:
-    match = _RANGE.match(text)
+    match = _RANGE.fullmatch(text)  # ``$`` would also match before a final newline
     if match is None:
         raise ParameterDomainError(
             f"{name} range must look like '4' or '2..40', got {text!r}"

@@ -43,9 +43,9 @@ The product threshold itself has two branches.  When the residue t lies in
 [2, m-1] and the two-sided rounding gap ceil(n / s) - n // (s+1) exceeds r
 (where s = n // (m+r)), the threshold is n - r*s; otherwise it is
 m * ceil(n / (theta_min + r)).  Membership for a single k (rather than the
-threshold) is decided by ``kronecker_colorable``: k is good iff k is at
-least the chromatic number m and either k >= gamma or the multipartite
-size condition ceil(n / (k // m)) - n // ceil(k / m) <= r holds.
+threshold) is decided by ``kronecker_colorable``: k is good iff k >= gamma
+or K_{m(n)} is k-colorable, that is k >= m and the multipartite size
+condition ceil(n / (k // m)) - n // ceil(k / m) <= r holds.
 
 Everything in this module is cross-checked elsewhere against brute-force
 oracles that know nothing about these formulas (see equicolor.oracle).
@@ -109,6 +109,16 @@ class Params:
         if self.m > self.n:
             return Params(self.n, self.m, self.r)
         return self
+
+
+def _require_canonical(p: Params, name: str) -> None:
+    """The product-side domain: 2 <= m <= n, refused in ``name``'s words."""
+    if p.m < 2:
+        raise ParameterDomainError(f"{name} requires m >= 2, got m={p.m}")
+    if p.m > p.n:
+        raise ParameterDomainError(
+            f"{name} requires the canonical orientation m <= n, got m={p.m} n={p.n}"
+        )
 
 
 # ============================================================
@@ -187,8 +197,7 @@ def theta_min(p: Params) -> int:
     theta = ceil(n / (gamma // m)) - r on, so the balanced scan starts
     there (or at 1); it ends by theta = n, where the cap reads m <= gamma.
     """
-    _require(p.m >= 2, f"theta_min requires m >= 2, got m={p.m}")
-    _require(p.m <= p.n, f"theta_min requires m <= n, got m={p.m} n={p.n}")
+    _require_canonical(p, "theta_min")
     start = ceil_div(p.n, gamma(p).value // p.m) - p.r
     return _least_balanced(p.n, p.r, max(1, start))
 
@@ -242,12 +251,7 @@ def threshold_kronecker(p: Params) -> ThresholdResult:
     (t >= 2 forces s >= 1 there: t <= m - 1 <= n - 1 means n > t, so
     n >= m + r.)  Otherwise the threshold is m * ceil(n / (theta_min + r)).
     """
-    _require(p.m >= 2, f"threshold_kronecker requires m >= 2, got m={p.m}")
-    _require(
-        p.m <= p.n,
-        f"threshold_kronecker requires the canonical orientation m <= n, "
-        f"got m={p.m} n={p.n}",
-    )
+    _require_canonical(p, "threshold_kronecker")
     g = gamma(p)
     s = p.n // (p.m + p.r)
     t = g.residue
@@ -297,11 +301,11 @@ def multipartite_colorable(p: Params, k: int) -> bool:
 def kronecker_verdict(p: Params, k: int) -> tuple[bool, str]:
     """Decide r-equitable k-colorability of K_m x K_n, with a reason tag.
 
-    Requires m <= n, k >= 1.  The decision rule: colorable iff m = 1 (the
-    product is edgeless) or k >= m (chromatic number) and either
-    k >= gamma or the multipartite size condition holds, since K_m x K_n
-    inherits every K_{m(n)} coloring and below gamma no other shape is
-    available.  Tags:
+    Requires m <= n, k >= 1.  The decision rule: colorable iff k >= gamma
+    or the spanning supergraph K_{m(n)} is (:func:`multipartite_verdict`),
+    as K_m x K_n inherits every K_{m(n)} coloring and below gamma no other
+    shape is available.  m = 1 is the edgeless K_{1(n)}; for m >= 2,
+    gamma >= m, so the chromatic bound k >= m is K_{m(n)}'s.  Tags:
 
     * ``edgeless``: m = 1, colorable.
     * ``below-chromatic``: k < m, not colorable.
@@ -310,17 +314,10 @@ def kronecker_verdict(p: Params, k: int) -> tuple[bool, str]:
     * ``multipartite-condition-failed``: m <= k < gamma, not colorable.
     """
     require_int("k", k, 1)
-    if p.m == 1:
-        return True, REASON_EDGELESS
-    _require(
-        p.m <= p.n,
-        f"kronecker_verdict requires the canonical orientation m <= n, "
-        f"got m={p.m} n={p.n}",
-    )
-    if k < p.m:
-        return False, REASON_BELOW_CHROMATIC
-    if k >= gamma(p).value:
-        return True, REASON_AT_OR_ABOVE_GAMMA
+    if p.m >= 2:
+        _require_canonical(p, "kronecker_verdict")
+        if k >= gamma(p).value:
+            return True, REASON_AT_OR_ABOVE_GAMMA
     return multipartite_verdict(p, k)
 
 

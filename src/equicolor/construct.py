@@ -152,8 +152,9 @@ def color_kronecker(p: Params, k: int) -> Coloring:
         plan = (p.m, c * p.m, c)
     elif k <= p.m * p.n:
         plan = _scatter_layout(p, k)
-    else:
-        return _singletons(p, k)
+    else:  # singletons, then the k - m*n empty classes
+        cells = product(range(1, p.m + 1), range(1, p.n + 1))
+        return Coloring(p.m, p.n, (*zip(cells), *repeat((), k - p.m * p.n)))
     return _realize(p, k, *plan)
 
 
@@ -239,30 +240,23 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         )
 
     # Column side: balanced class counts, loads filled left to right.
-    loads: list[int] = []
-    counts: list[int] = []
-    if col_cls:
-        t = min(n, col_cls)
-        base, extra = divmod(col_cls, t)
-        counts = [base + 1] * extra + [base] * (t - extra)
-        loads = [g * b for g in counts]
-        spare = cells - col_cls * b
-        for j in range(t):
-            take = min(min(counts[j] * w, m) - loads[j], spare)
-            loads[j] += take
-            spare -= take
-        if spare:
-            raise InternalCheckError(
-                f"column loads cannot absorb {spare} cells for {p}, k={k}"
-            )
+    t = min(n, col_cls)
+    counts = split_sizes(col_cls, t, col_cls // t, 1) if t else []
+    loads = [g * b for g in counts]
+    spare = cells - col_cls * b
+    for j, g in enumerate(counts):
+        take = min(min(g * w, m) - loads[j], spare)
+        loads[j] += take
+        spare -= take
+    if spare:
+        raise InternalCheckError(f"column loads cannot absorb {spare} cells for {p}, k={k}")
 
     # Row donations: near-even, the spares from the highest row indexes.
     # ``walk`` is the 0-based row the donor walk takes next.
-    donate, d_extra = divmod(cells, m)
-    kept = [n - donate] * (m - d_extra) + [n - donate - 1] * d_extra
+    kept = split_sizes(m * n - cells, m, 0, n)
     drawn: list[set[int]] = [set() for _ in range(m)]
     classes: list[tuple[Cell, ...]] = []
-    walk = m - d_extra
+    walk = m - cells % m
     for j, (load, g) in enumerate(zip(loads, counts), start=1):
         stop = walk + load
         rows = [*range(1, stop - m + 1), *range(walk + 1, min(stop, m) + 1)]
@@ -296,10 +290,3 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
             classes += map(tuple, map(islice, repeat(zip(repeat(i), own)), sizes))
     return Coloring(m, n, tuple(classes))
 
-
-def _singletons(p: Params, k: int) -> Coloring:
-    """The k > m*n shape: one cell per class, rest empty; gap is 1 <= r."""
-    cells = product(range(1, p.m + 1), range(1, p.n + 1))
-    classes: list[tuple[Cell, ...]] = list(zip(cells))
-    classes.extend(repeat((), k - p.m * p.n))
-    return Coloring(p.m, p.n, tuple(classes))

@@ -553,6 +553,13 @@ def test_table_rejects_bad_ranges(capsys):
     run(["table", "-m", "0..3", "-n", "3", "-r", "1"], capsys, expect=EXIT_USAGE)
 
 
+def test_table_rejects_a_range_with_a_trailing_newline(capsys):
+    captured = run(["table", "-m", "2..3\n", "-n", "5", "-r", "1", "--format", "json"],
+                   capsys, expect=EXIT_USAGE)
+    assert captured.out == ""
+    assert "m range must look like '4' or '2..40', got '2..3\\n'" in captured.err
+
+
 def test_table_rejects_range_bounds_beyond_int_digit_limit(capsys):
     huge = "9" * 5000  # int() reads at most 4300 digits
     for bounds in (f"1..{huge}", huge):

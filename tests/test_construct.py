@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from equicolor.closed_forms import (
 )
 from equicolor.construct import (
     _least_column_classes,
+    _scatter_layout,
     color_kronecker,
     color_multipartite,
     split_sizes,
@@ -220,6 +222,27 @@ def test_scatter_layout_spot_instances(m, n, r, k):
     assert c.k == k
     assert verify(r, c).valid
     assert all(single_row_or_column(cls) for cls in c.classes)
+
+
+def test_scatter_layout_takes_the_largest_base_size():
+    # A tripwire for dropping the b loop: b = m*n // k, the largest min
+    # size any k-class partition allows, has been accepted on every
+    # instance tried, but no proof exists yet.  Every n < k <= m*n is
+    # colorable (gamma <= n), so all draws reach the scatter plan.
+    rng = random.Random(15)
+    rs = (1, 2, 3, 5, 8, 13, 30, 100, 1000, 10**6)
+    for draw in range(300):
+        m = rng.randint(2, 120)
+        n = rng.randint(m, 400)
+        lo, hi = [
+            (n + 1, min(n + m, m * n)),  # just above n
+            (max(n + 1, m * n - m), m * n),  # near m*n
+            (n + 1, m * n),
+        ][draw % 3]
+        k = rng.randint(lo, hi)
+        p = Params(m, n, rng.choice(rs))
+        assert kronecker_colorable(p, k)
+        assert _scatter_layout(p, k)[0] == m * n // k, (p, k)
 
 
 def test_least_column_classes_matches_its_definition():

@@ -3,6 +3,7 @@ sources stay inside the Python 3.10 floor, and the package version lives
 in one place."""
 
 import ast
+import importlib.util
 import re
 import warnings
 from pathlib import Path
@@ -29,6 +30,28 @@ def test_workflow_is_valid_yaml_with_both_jobs():
     assert {"quick", "full"} <= set(jobs)
     runs = [step["run"] for step in jobs["quick"]["steps"] if "run" in step]
     assert [run for run in runs if run.startswith("pytest")] == [_readme_quick_suite()]
+
+
+def test_every_job_has_a_timeout_and_the_weekly_job_runs_the_mutants():
+    # Without timeout-minutes a hung test holds a runner for GitHub's
+    # 360-minute default.
+    jobs = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())["jobs"]
+    assert [name for name, job in jobs.items() if "timeout-minutes" not in job] == []
+    assert "python3 tools/mutate.py" in [step.get("run") for step in jobs["full"]["steps"]]
+
+
+def test_every_mutant_applies_at_exactly_one_site():
+    # The weekly job is the only one that runs the mutants, so a mutant a
+    # source edit has orphaned is caught here instead.
+    path = ROOT / "tools/mutate.py"
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    spec = importlib.util.spec_from_file_location("mutate", path)
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    assert len(mutate.MUTANTS) >= 8
+    for mutant in mutate.MUTANTS:
+        source = (ROOT / "src/equicolor" / mutant.module).read_text(encoding="utf-8")
+        assert mutate.mutate(source, mutant) != ast.unparse(ast.parse(source)), mutant.name
 
 
 def test_pyproject_takes_its_version_from_the_package():

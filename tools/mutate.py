@@ -1,0 +1,153 @@
+"""Mutation check: do the tests kill small, plausible bugs in the rules?
+
+Each mutant names one expression in one function of ``src/equicolor`` and
+the code that replaces it.  The tool copies the repository to a temporary
+directory (the checkout is never edited), rewrites the module there with
+the stdlib ``ast`` module, runs the test files that own the module, and
+counts the mutant as killed when they fail.  A run that passes on the
+unmutated (re-printed) copy comes first, so a failure is the mutant's.
+
+A mutant no test can kill is listed in ``EQUIVALENT`` with the reason;
+any other survivor makes the exit status 1.
+
+Run from anywhere, with the test dependencies installed:
+
+    python3 tools/mutate.py
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+OWNERS = ("tests/test_closed_forms.py", "tests/test_construct.py", "tests/test_cli.py")
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/equicolor
+    function: str
+    old: str  # an expression, matched by its AST
+    new: str
+
+
+MUTANTS = (
+    Mutant("gamma-test-strict", "closed_forms.py", "kronecker_verdict",
+           "k >= gamma(p).value", "k > gamma(p).value"),
+    Mutant("orientation-unchecked", "closed_forms.py", "_require_canonical",
+           "p.m > p.n", "False"),
+    Mutant("multipartite-gap-strict", "closed_forms.py", "multipartite_verdict",
+           "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) <= p.r",
+           "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) < p.r"),
+    Mutant("theta-test-loose", "closed_forms.py", "_least_balanced",
+           "n // (theta + 1) < ceil_div(n, theta + r)",
+           "n // (theta + 1) <= ceil_div(n, theta + r)"),
+    Mutant("ceil-div-off-by-one", "closed_forms.py", "ceil_div",
+           "-(-a // b)", "(a + b) // b"),
+    Mutant("split-remainder-last", "construct.py", "split_sizes",
+           "[base + 1] * extra + [base] * (count - extra)",
+           "[base] * (count - extra) + [base + 1] * extra"),
+    Mutant("donor-walk-one-row-later", "construct.py", "_realize",
+           "m - cells % m", "(m - cells % m + 1) % m"),
+    Mutant("least-column-classes-shifted", "construct.py", "_least_column_classes",
+           "(cells - 1) // (n * w)", "cells // (n * w)"),
+)
+
+EQUIVALENT: dict[str, str] = {}  # mutant name -> why no test can kill it
+
+
+class _Replace(ast.NodeTransformer):
+    def __init__(self, old: str, new: str) -> None:
+        self.old = ast.dump(ast.parse(old, mode="eval").body)
+        self.new = new
+        self.hits = 0
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        if isinstance(node, ast.expr) and ast.dump(node) == self.old:
+            self.hits += 1
+            return ast.parse(self.new, mode="eval").body
+        return self.generic_visit(node)
+
+
+def mutate(source: str, mutant: Mutant) -> str:
+    """``source`` re-printed with the mutant applied at its one site."""
+    tree = ast.parse(source)
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == mutant.function
+    ]
+    if len(functions) != 1:
+        raise LookupError(f"{mutant.name}: {len(functions)} functions {mutant.function}")
+    replace = _Replace(mutant.old, mutant.new)
+    replace.visit(functions[0])
+    if replace.hits != 1:
+        raise LookupError(f"{mutant.name}: {replace.hits} sites match {mutant.old!r}")
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+def _tests_pass(copy: Path) -> bool:
+    """Do the owning tests pass in ``copy``?  A run past 10 minutes fails."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *OWNERS],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=600,
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return run.returncode == 0
+
+
+def main() -> int:
+    sources = {
+        mutant.module: (ROOT / "src/equicolor" / mutant.module).read_text(encoding="utf-8")
+        for mutant in MUTANTS
+    }
+    plain = {module: ast.unparse(ast.parse(source)) for module, source in sources.items()}
+    mutated = {mutant.name: mutate(sources[mutant.module], mutant) for mutant in MUTANTS}
+    verdicts: dict[str, str] = {}
+    with tempfile.TemporaryDirectory(prefix="equicolor-mutate-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import equicolor; print(equicolor.__file__)"],
+            cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+            capture_output=True, text=True, check=True,
+        )
+        if not Path(probe.stdout.strip()).is_relative_to(copy):
+            print(f"equicolor imports from {probe.stdout.strip()}, not the copy")
+            return 2
+        for module, text in plain.items():
+            (copy / "src/equicolor" / module).write_text(text, encoding="utf-8")
+        if not _tests_pass(copy):
+            print("the owning tests fail on the unmutated copy")
+            return 2
+        for mutant in MUTANTS:
+            target = copy / "src/equicolor" / mutant.module
+            target.write_text(mutated[mutant.name], encoding="utf-8")
+            start = time.perf_counter()
+            if not _tests_pass(copy):
+                verdicts[mutant.name] = "killed"
+            else:
+                verdicts[mutant.name] = "equivalent" if mutant.name in EQUIVALENT else "SURVIVED"
+            target.write_text(plain[mutant.module], encoding="utf-8")
+            print(f"{verdicts[mutant.name]:10} {mutant.name} "
+                  f"({time.perf_counter() - start:.1f} s)", flush=True)
+    tally = list(verdicts.values())
+    print(f"killed {tally.count('killed')}/{len(MUTANTS)}, "
+          f"equivalent {tally.count('equivalent')}, survived {tally.count('SURVIVED')}")
+    return 1 if "SURVIVED" in tally else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
