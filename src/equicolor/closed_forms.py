@@ -74,11 +74,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterDomainError(message)
-
-
 # ============================================================
 # Parameters
 # ============================================================
@@ -148,7 +143,8 @@ def gamma(p: Params) -> GammaResult:
     count is achievable for K_m x K_n; it always satisfies m <= gamma and,
     when m <= n, gamma <= n.
     """
-    _require(p.m >= 2, f"gamma requires m >= 2, got m={p.m}")
+    if p.m < 2:
+        raise ParameterDomainError(f"gamma requires m >= 2, got m={p.m}")
     s = p.n // (p.m + p.r)
     first = p.n - p.r * s
     second = p.m * ceil_div(p.n, p.m + p.r)
@@ -229,7 +225,8 @@ def threshold_multipartite(p: Params) -> int:
     graph, whose threshold is 1).  Note the asymmetry: K_{m(n)} has m
     parts of size n, so do not swap m and n.
     """
-    _require(p.m >= 2, f"threshold_multipartite requires m >= 2, got m={p.m}")
+    if p.m < 2:
+        raise ParameterDomainError(f"threshold_multipartite requires m >= 2, got m={p.m}")
     return threshold_at(p, theta_balanced(p.n, p.r))
 
 
@@ -336,8 +333,9 @@ def equ_bound(m: int, r: int) -> int:
 
     For every n >= equ_bound(m, r) the Kronecker and multipartite
     thresholds coincide.  Requires m >= 2 and r >= 2: the bound diverges
-    as r -> 1, and at r = 1 the thresholds agree for some n, as at
-    (m, n) = (2, 6), and differ for others, as at (3, 4).
+    as r -> 1, and at r = 1 (m <= n) the thresholds agree exactly when
+    lcm(1, ..., m) divides n and n mod (m+1) is 0 or m, so they differ
+    for infinitely many n (README gives the proof).
     """
     require_int("m", m, 2)
     require_int("r", r, 2)

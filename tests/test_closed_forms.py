@@ -5,6 +5,8 @@ brute-force oracles (see test_oracle.py and test_acceptance.py); the
 oracle suite re-derives them independently on every run.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,7 +85,7 @@ def test_gamma_frozen_values():
 
 
 def test_gamma_rejects_m_below_2():
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError, match="gamma requires m >= 2, got m=1"):
         gamma(Params(1, 5, 1))
 
 
@@ -169,6 +171,13 @@ def test_threshold_multipartite_frozen_values():
     assert threshold_multipartite(Params(2, 10, 2)) == 4
     assert threshold_multipartite(Params(4, 7, 1)) == 16
     assert threshold_multipartite(Params(2, 1, 1)) == 2
+
+
+def test_threshold_multipartite_rejects_m_below_2():
+    with pytest.raises(
+        ParameterDomainError, match="threshold_multipartite requires m >= 2, got m=1"
+    ):
+        threshold_multipartite(Params(1, 5, 1))
 
 
 def test_threshold_multipartite_does_not_canonicalize():
@@ -332,6 +341,27 @@ def test_r_1_thresholds_agree_for_some_n_and_differ_for_others(
     assert threshold_multipartite(p) == multipartite
     assert oracle_threshold(p, oracle_kronecker_colorable) == kronecker
     assert oracle_threshold(p, oracle_multipartite_colorable) == multipartite
+
+
+def _r_1_families_agree(m: int, n: int) -> bool:
+    # lcm(1..m) divides n and n mod (m+1) is 0 or m; README derives it.
+    return n % math.lcm(*range(1, m + 1)) == 0 and n % (m + 1) in (0, m)
+
+
+def test_r_1_agreement_predicate_matches_both_formulas():
+    # At r = 1 the families agree exactly where the predicate holds, so
+    # agreement never settles for good and equ_bound has nothing to say.
+    # The grid holds 65,923 pairs (m, n).
+    agreeing, mismatches = 0, []
+    for m in range(2, 13):
+        for n in range(m, 6000):
+            p = Params(m, n, 1)
+            agree = threshold_kronecker(p).value == threshold_multipartite(p)
+            if agree != _r_1_families_agree(m, n):
+                mismatches.append((m, n))
+            agreeing += agree
+    assert mismatches == []
+    assert agreeing == 2_835
 
 
 def test_equ_bound_rejects_r_1():

@@ -1,11 +1,12 @@
 """Mutation check: do the tests kill small, plausible bugs in the rules?
 
-Each mutant names one expression in one function of ``src/equicolor`` and
-the code that replaces it.  The tool copies the repository to a temporary
-directory (the checkout is never edited), rewrites the module there with
-the stdlib ``ast`` module, runs the test files that own the module, and
-counts the mutant as killed when they fail.  A run that passes on the
-unmutated (re-printed) copy comes first, so a failure is the mutant's.
+Each mutant names one expression in one function of ``src/equicolor``, the
+code that replaces it, and the test files that should catch it.  The tool
+copies the repository to a temporary directory (the checkout is never
+edited), rewrites the module there with the stdlib ``ast`` module, runs
+the mutant's test files, and counts the mutant as killed when they fail.
+A run of every listed test file on the unmutated (re-printed) copy comes
+first, so a failure is the mutant's.
 
 A mutant no test can kill is listed in ``EQUIVALENT`` with the reason;
 any other survivor makes the exit status 1.
@@ -25,10 +26,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
-OWNERS = ("tests/test_closed_forms.py", "tests/test_construct.py", "tests/test_cli.py")
+CLOSED_FORMS = ("tests/test_closed_forms.py",)
+CONSTRUCT = ("tests/test_construct.py",)
+GRID = ("tests/test_grid.py",)
+FILES = ("tests/test_files.py",)
+ORACLE = ("tests/test_oracle.py",)
 
 
 class Mutant(NamedTuple):
@@ -37,28 +42,46 @@ class Mutant(NamedTuple):
     function: str
     old: str  # an expression, matched by its AST
     new: str
+    owners: tuple[str, ...]  # the test files run against the mutant
 
 
 MUTANTS = (
     Mutant("gamma-test-strict", "closed_forms.py", "kronecker_verdict",
-           "k >= gamma(p).value", "k > gamma(p).value"),
+           "k >= gamma(p).value", "k > gamma(p).value", CLOSED_FORMS),
     Mutant("orientation-unchecked", "closed_forms.py", "_require_canonical",
-           "p.m > p.n", "False"),
+           "p.m > p.n", "False", CLOSED_FORMS),
     Mutant("multipartite-gap-strict", "closed_forms.py", "multipartite_verdict",
            "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) <= p.r",
-           "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) < p.r"),
+           "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) < p.r", CLOSED_FORMS),
     Mutant("theta-test-loose", "closed_forms.py", "_least_balanced",
            "n // (theta + 1) < ceil_div(n, theta + r)",
-           "n // (theta + 1) <= ceil_div(n, theta + r)"),
+           "n // (theta + 1) <= ceil_div(n, theta + r)", CLOSED_FORMS),
     Mutant("ceil-div-off-by-one", "closed_forms.py", "ceil_div",
-           "-(-a // b)", "(a + b) // b"),
+           "-(-a // b)", "(a + b) // b", CLOSED_FORMS),
     Mutant("split-remainder-last", "construct.py", "split_sizes",
            "[base + 1] * extra + [base] * (count - extra)",
-           "[base] * (count - extra) + [base + 1] * extra"),
+           "[base] * (count - extra) + [base + 1] * extra", CONSTRUCT),
     Mutant("donor-walk-one-row-later", "construct.py", "_realize",
-           "m - cells % m", "(m - cells % m + 1) % m"),
+           "m - cells % m", "(m - cells % m + 1) % m", CONSTRUCT),
     Mutant("least-column-classes-shifted", "construct.py", "_least_column_classes",
-           "(cells - 1) // (n * w)", "cells // (n * w)"),
+           "(cells - 1) // (n * w)", "cells // (n * w)", CONSTRUCT),
+    Mutant("imbalance-unchecked", "grid.py", "verify", "hi - lo > r", "False", GRID),
+    Mutant("partition-blind-to-double-cover", "grid.py", "verify",
+           "counts.count(1) != m * n", "0 in counts", GRID),
+    Mutant("adjacent-pair-row-and-column-swapped", "grid.py", "_first_adjacent_pair",
+           "cls.index(off_row) < cls.index(off_col)",
+           "cls.index(off_col) < cls.index(off_row)", GRID),
+    Mutant("class-index-off-by-one", "files.py", "_check_line",
+           "got != index", "got != index + 1", FILES),
+    Mutant("name-table-one-too-long", "files.py", "parse_coloring",
+           "islice(names.items(), side)", "islice(names.items(), side + 1)", FILES),
+    Mutant("row-prune-dropped", "oracle.py", "extend", "sz + pot < lo_dyn", "False", ORACLE),
+    Mutant("deficit-prune-loose", "oracle.py", "extend",
+           "deficit > remaining", "deficit > remaining + 1", ORACLE),
+    Mutant("deficit-decrement-at-floor", "oracle.py", "extend",
+           "sz < lo_dyn", "sz <= lo_dyn", ORACLE),
+    Mutant("capacity-prune-loose", "oracle.py", "extend",
+           "capacity < remaining", "capacity < remaining - 1", ORACLE),
 )
 
 EQUIVALENT: dict[str, str] = {}  # mutant name -> why no test can kill it
@@ -93,12 +116,12 @@ def mutate(source: str, mutant: Mutant) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def _tests_pass(copy: Path) -> bool:
-    """Do the owning tests pass in ``copy``?  A run past 10 minutes fails."""
+def _tests_pass(copy: Path, owners: Sequence[str]) -> bool:
+    """Do the ``owners`` tests pass in ``copy``?  A run past 10 minutes fails."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *OWNERS],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *owners],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=600,
         )
@@ -129,14 +152,14 @@ def main() -> int:
             return 2
         for module, text in plain.items():
             (copy / "src/equicolor" / module).write_text(text, encoding="utf-8")
-        if not _tests_pass(copy):
-            print("the owning tests fail on the unmutated copy")
+        if not _tests_pass(copy, sorted({f for m in MUTANTS for f in m.owners})):
+            print("the mutants' tests fail on the unmutated copy")
             return 2
         for mutant in MUTANTS:
             target = copy / "src/equicolor" / mutant.module
             target.write_text(mutated[mutant.name], encoding="utf-8")
             start = time.perf_counter()
-            if not _tests_pass(copy):
+            if not _tests_pass(copy, mutant.owners):
                 verdicts[mutant.name] = "killed"
             else:
                 verdicts[mutant.name] = "equivalent" if mutant.name in EQUIVALENT else "SURVIVED"
