@@ -28,12 +28,14 @@ then k against n and m*n, and :func:`_realize` places the classes:
 * k > m*n: singletons; every cell is its own class and the remaining
   k - m*n classes stay empty, last (the size gap is 1 <= r).
 
-Coordinates follow equicolor.grid: rows 1..m, columns 1..n.
+Coordinates follow equicolor.grid: rows 1..m, columns 1..n.  The realizer
+runs Python once per column, per group of equal rows and per run of equal
+class sizes, never per cell or per class, and keeps a mask of m*n bytes.
 """
 
 from __future__ import annotations
 
-from itertools import filterfalse, islice, product, repeat
+from itertools import chain, compress, groupby, islice, product, repeat
 
 from .closed_forms import (
     REASON_AT_OR_ABOVE_GAMMA,
@@ -228,9 +230,9 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
       other k - G row classes are dealt round-robin, lowest row first,
       up to kept // b per row (no cap when b = 0).  Each row splits its
       kept cells near-evenly, in column order, into sizes in [b, b+r].
-    * A line's classes are consecutive slices of one cell iterator over
-      that line, cut by its :func:`split_sizes` list, so no Python step
-      runs per class.
+    * Each run of equal class sizes is one ``islice(zip(*[cells] * size),
+      many)`` over a line's cells; the rows' cells are one stream over a
+      row-major mask of m*n bytes, cleared at donor cells by strided slices.
     """
     m, n, r = p.m, p.n, p.r
     w = b + r
@@ -254,17 +256,17 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
     # Row donations: near-even, the spares from the highest row indexes.
     # ``walk`` is the 0-based row the donor walk takes next.
     kept = split_sizes(m * n - cells, m, 0, n)
-    drawn: list[set[int]] = [set() for _ in range(m)]
-    classes: list[tuple[Cell, ...]] = []
+    free = bytearray(b"\1") * (m * n)  # 1 where a row keeps its cell
+    lines = []  # (cells, class sizes, rounds) per column, then per group of equal rows
     walk = m - cells % m
     for j, (load, g) in enumerate(zip(loads, counts), start=1):
         stop = walk + load
-        rows = [*range(1, stop - m + 1), *range(walk + 1, min(stop, m) + 1)]
+        wrap, top = max(stop - m, 0), min(stop, m)  # rows 1..wrap, walk+1..top
+        free[j - 1 : wrap * n : n] = bytes(wrap)
+        free[walk * n + j - 1 : top * n : n] = bytes(top - walk)
+        rows = chain(range(1, wrap + 1), range(walk + 1, top + 1))
+        lines.append((zip(rows, repeat(j)), split_sizes(load, g, b, r), 1))
         walk = stop % m
-        for i in rows:
-            drawn[i - 1].add(j)
-        sizes = split_sizes(load, g, b, r)
-        classes += map(tuple, map(islice, repeat(zip(rows, repeat(j))), sizes))
 
     # Row side: distribute the remaining k - col_cls classes over rows,
     # lowest row index first, within each row's feasible count range.
@@ -281,12 +283,17 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
                 need -= 1
         if need == before:
             raise InternalCheckError(f"row class counts stuck for {p}, k={k}")
-    for i in range(1, m + 1):
-        own = list(filterfalse(drawn[i - 1].__contains__, range(1, n + 1)))
-        if len(own) != kept[i - 1]:
-            raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
-        if row_cls[i - 1]:
-            sizes = split_sizes(kept[i - 1], row_cls[i - 1], b, r)
-            classes += map(tuple, map(islice, repeat(zip(repeat(i), own)), sizes))
+    counted = list(map(free.count, repeat(1), range(0, m * n, n), range(n, m * n + 1, n)))
+    if counted != kept:
+        i = next(i for i, (x, y) in enumerate(zip(counted, kept), start=1) if x != y)
+        raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
+    stream = compress(product(range(1, m + 1), range(1, n + 1)), free)
+    lines += ((stream, split_sizes(x, c, b, r), len(list(group)))
+              for (x, c), group in groupby(zip(kept, row_cls)) if c)  # c = 0 keeps no cell
+    classes: list[tuple[Cell, ...]] = []
+    for line, sizes, times in lines:
+        extra = sizes.count(sizes[0])  # a near-even split is at most two runs
+        runs = [(sizes[0], extra), (sizes[-1], len(sizes) - extra)] * times
+        for size, many in [(sizes[0], extra * times)] if extra == len(sizes) else runs:
+            classes += islice(zip(*[line] * size), many) if size else repeat((), many)
     return Coloring(m, n, tuple(classes))
-

@@ -146,8 +146,11 @@ def _block_classes(
         if toks is None or list(map(int, heads)) != list(range(first, first + len(lines))):
             return None
         try:
+            if len(cols_of) < n:  # a wide grid: its columns miss first
+                cols = list(map(cols_of.__getitem__, toks[1::2]))
             rows = list(map(rows_of.__getitem__, toks[0::2]))
-            cols = list(map(cols_of.__getitem__, toks[1::2]))
+            if len(cols_of) == n:
+                cols = list(map(cols_of.__getitem__, toks[1::2]))
         except KeyError:  # leading zeros, other decimal digits or a large value
             if not all(map(str.isdecimal, toks)):
                 return None

@@ -3,13 +3,16 @@
 import gc
 import hashlib
 import random
+from itertools import filterfalse, islice, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicolor import construct
 from equicolor.closed_forms import (
     Params,
+    ceil_div,
     gamma,
     kronecker_colorable,
     multipartite_colorable,
@@ -23,11 +26,12 @@ from equicolor.construct import (
 )
 from equicolor.errors import (
     InfeasibleWindowError,
+    InternalCheckError,
     NotColorableError,
     ParameterDomainError,
 )
 from equicolor.files import format_coloring
-from equicolor.grid import verify
+from equicolor.grid import Coloring, verify
 
 
 def single_row_or_column(cls):
@@ -382,3 +386,129 @@ def test_witness_classes_are_exact_tuples_of_cell_pairs():
             for cell in cls:
                 assert type(cell) is tuple and len(cell) == 2
                 assert type(cell[0]) is int and type(cell[1]) is int
+
+
+# ------------------------------------------------------------
+# the realizer against a per-cell reference
+# ------------------------------------------------------------
+
+
+def reference_realize(p, k, b, cells, col_cls):
+    """The plan (b, C, G) placed one donor cell and one class at a time:
+    per-row sets of donated columns, one islice per class.  Same contract
+    as construct._realize, which cuts the same classes in runs."""
+    m, n, r = p.m, p.n, p.r
+    w = b + r
+    if not (0 <= col_cls and col_cls * b <= cells <= m * n):
+        raise InternalCheckError(
+            f"plan b={b} C={cells} G={col_cls} out of range for {p}, k={k}"
+        )
+    t = min(n, col_cls)
+    counts = split_sizes(col_cls, t, col_cls // t, 1) if t else []
+    loads = [g * b for g in counts]
+    spare = cells - col_cls * b
+    for j, g in enumerate(counts):
+        take = min(min(g * w, m) - loads[j], spare)
+        loads[j] += take
+        spare -= take
+    if spare:
+        raise InternalCheckError(f"column loads cannot absorb {spare} cells for {p}, k={k}")
+    kept = split_sizes(m * n - cells, m, 0, n)
+    drawn = [set() for _ in range(m)]
+    classes = []
+    walk = m - cells % m
+    for j, (load, g) in enumerate(zip(loads, counts), start=1):
+        stop = walk + load
+        rows = [*range(1, stop - m + 1), *range(walk + 1, min(stop, m) + 1)]
+        walk = stop % m
+        for i in rows:
+            drawn[i - 1].add(j)
+        sizes = split_sizes(load, g, b, r)
+        classes += map(tuple, map(islice, repeat(zip(rows, repeat(j))), sizes))
+    row_cls = [ceil_div(x, w) for x in kept]
+    hi_cnt = [x // b if b else k for x in kept]
+    need = (k - col_cls) - sum(row_cls)
+    if need < 0:
+        raise InternalCheckError(f"too few row classes needed for {p}, k={k}")
+    while need:
+        before = need
+        for i in range(m):
+            if need and row_cls[i] < hi_cnt[i]:
+                row_cls[i] += 1
+                need -= 1
+        if need == before:
+            raise InternalCheckError(f"row class counts stuck for {p}, k={k}")
+    for i in range(1, m + 1):
+        own = list(filterfalse(drawn[i - 1].__contains__, range(1, n + 1)))
+        if len(own) != kept[i - 1]:
+            raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
+        if row_cls[i - 1]:
+            sizes = split_sizes(kept[i - 1], row_cls[i - 1], b, r)
+            classes += map(tuple, map(islice, repeat(zip(repeat(i), own)), sizes))
+    return Coloring(m, n, tuple(classes))
+
+
+def _large_instances(seed, per_shape):
+    """(constructor, p, k) with sides 100-250, ``per_shape`` for each of
+    the four realizer plans: K_{m(n)} rows (k up to 2mn, so some with
+    b = 0), and K_m x K_n rows below gamma, columns plus rows, scatter."""
+    rng = random.Random(seed)
+    draws = {"multipartite": 0, "kronecker rows": 0, "columns": 0, "scatter": 0}
+    while min(draws.values()) < per_shape:
+        m = rng.randint(100, 250)
+        p = Params(m, rng.randint(m, 250), rng.randint(1, 3))
+        g = gamma(p).value
+        shape = min(draws, key=draws.get)
+        if shape == "multipartite":
+            k = rng.randint(m, 2 * m * p.n)
+            if not multipartite_colorable(p, k):
+                continue
+            yield color_multipartite, p, k
+        elif shape == "kronecker rows":
+            ks = [k for k in range(m, g) if kronecker_colorable(p, k)]
+            if not ks:
+                continue
+            yield color_kronecker, p, rng.choice(ks)
+        elif shape == "columns":
+            if g > p.n:
+                continue
+            yield color_kronecker, p, rng.randint(g, p.n)
+        else:
+            yield color_kronecker, p, rng.randint(p.n + 1, m * p.n)
+        draws[shape] += 1
+
+
+def _realizer_cases():
+    for constructor, p, k in _witness_records():
+        yield constructor, p, k
+    for m in range(2, 13):
+        for n in range(m, 13):
+            for r in range(1, 4):
+                p = Params(m, n, r)
+                for k in range(gamma(p).value, m * n + 1):
+                    yield color_kronecker, p, k
+    yield from _large_instances(17, 10)
+
+
+def test_realizer_matches_the_per_cell_reference(monkeypatch):
+    # Equal as tuples, class order and cell order both: format_coloring
+    # sorts the cells of a class, so the witness digests cannot see the
+    # order within one.
+    real = construct._realize
+    plans = []
+
+    def checked(p, k, *plan):
+        coloring = real(p, k, *plan)
+        assert coloring == reference_realize(p, k, *plan), (p, k, plan)
+        plans.append(plan)
+        return coloring
+
+    monkeypatch.setattr(construct, "_realize", checked)
+    for constructor, p, k in _realizer_cases():
+        try:
+            constructor(p, k)
+        except NotColorableError:
+            pass
+    assert len(plans) > 10_000
+    assert any(b == 0 for b, _, _ in plans)  # k > m*n on K_{m(n)}
+    assert any(cells for _, cells, _ in plans)  # columns take cells

@@ -34,6 +34,7 @@ CONSTRUCT = ("tests/test_construct.py",)
 GRID = ("tests/test_grid.py",)
 FILES = ("tests/test_files.py",)
 ORACLE = ("tests/test_oracle.py",)
+CLI = ("tests/test_cli.py",)
 
 
 class Mutant(NamedTuple):
@@ -63,6 +64,9 @@ MUTANTS = (
            "[base] * (count - extra) + [base + 1] * extra", CONSTRUCT),
     Mutant("donor-walk-one-row-later", "construct.py", "_realize",
            "m - cells % m", "(m - cells % m + 1) % m", CONSTRUCT),
+    Mutant("larger-run-last", "construct.py", "_realize",
+           "[(sizes[0], extra), (sizes[-1], len(sizes) - extra)]",
+           "[(sizes[-1], len(sizes) - extra), (sizes[0], extra)]", CONSTRUCT),
     Mutant("least-column-classes-shifted", "construct.py", "_least_column_classes",
            "(cells - 1) // (n * w)", "cells // (n * w)", CONSTRUCT),
     Mutant("imbalance-unchecked", "grid.py", "verify", "hi - lo > r", "False", GRID),
@@ -82,6 +86,10 @@ MUTANTS = (
            "sz < lo_dyn", "sz <= lo_dyn", ORACLE),
     Mutant("capacity-prune-loose", "oracle.py", "extend",
            "capacity < remaining", "capacity < remaining - 1", ORACLE),
+    Mutant("input-limit-exclusive", "cli.py", "_check_limit",
+           "value > limit", "value >= limit", CLI),
+    Mutant("oracle-disagreement-ignored", "cli.py", "_cmd_decide",
+           "oracle_says != colorable", "False", CLI),
 )
 
 EQUIVALENT: dict[str, str] = {}  # mutant name -> why no test can kill it
