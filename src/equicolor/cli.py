@@ -38,9 +38,11 @@ import sys
 from dataclasses import replace
 from typing import Any
 
+# Only the closed forms load with the module: each handler imports the
+# rest of the package it runs (``color`` and ``verify`` the data layer,
+# ``decide --oracle`` the oracles), so the small commands start faster.
 from . import closed_forms as cf
 from .closed_forms import Params
-from .construct import color_kronecker
 from .errors import (
     BudgetExceededError,
     ColoringFileError,
@@ -49,13 +51,6 @@ from .errors import (
     NotColorableError,
     ParameterDomainError,
     require_int,
-)
-from .files import decode_ascii, format_coloring, parse_coloring, write_coloring
-from .grid import verify
-from .oracle import (
-    DEFAULT_BUDGET,
-    oracle_kronecker_colorable,
-    oracle_multipartite_colorable,
 )
 
 SCHEMA_VERSION = "1"
@@ -70,7 +65,7 @@ NODE_LIMIT_ENV = "EQUICOLOR_ORACLE_NODE_LIMIT"
 
 # Input limits.  A coloring holds one object per cell and per class, and
 # verify allocates one counter per cell of the file's grid: at 10**6 cells
-# `color` peaks at 133-229 MB of RSS and `verify` at 96-188 MB, the most
+# `color` peaks at 110-208 MB of RSS and `verify` at 95-188 MB, the most
 # for 10**6 one-cell classes.  A table row costs one threshold per family.
 MAX_COLOR_CELLS = 10**6
 MAX_COLOR_K = 10**6
@@ -195,10 +190,10 @@ def _cmd_threshold(args: argparse.Namespace) -> _Answer:
     return _threshold_fields(p, args.family), None
 
 
-def _node_limit_from_env() -> int:
+def _node_limit_from_env(default: int) -> int:
     raw = os.environ.get(NODE_LIMIT_ENV)
     if raw is None:
-        return DEFAULT_BUDGET.node_limit
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -209,10 +204,11 @@ def _node_limit_from_env() -> int:
     return value
 
 
-# Per family: the closed-form verdict and the oracle that checks it.
+# Per family: the closed-form verdict, and the name in equicolor.oracle of
+# the oracle that checks it.
 _DECIDERS = {
-    "kronecker": (cf.kronecker_verdict, oracle_kronecker_colorable),
-    "multipartite": (cf.multipartite_verdict, oracle_multipartite_colorable),
+    "kronecker": (cf.kronecker_verdict, "oracle_kronecker_colorable"),
+    "multipartite": (cf.multipartite_verdict, "oracle_multipartite_colorable"),
 }
 
 
@@ -220,13 +216,16 @@ def _cmd_decide(args: argparse.Namespace) -> _Answer:
     p = Params(args.m, args.n, args.r)
     if args.family == "kronecker":  # K_{m(n)} is not symmetric in m and n
         p = p.canonical()
-    verdict, oracle = _DECIDERS[args.family]
+    verdict, oracle_name = _DECIDERS[args.family]
     colorable, reason = verdict(p, args.k)
 
     result: dict[str, Any] = {"colorable": colorable, "reason": reason, "oracle": None}
     if args.oracle:
-        budget = replace(DEFAULT_BUDGET, node_limit=_node_limit_from_env())
-        oracle_says = oracle(p, args.k, budget)
+        from . import oracle
+
+        limit = _node_limit_from_env(oracle.DEFAULT_BUDGET.node_limit)
+        budget = replace(oracle.DEFAULT_BUDGET, node_limit=limit)
+        oracle_says = getattr(oracle, oracle_name)(p, args.k, budget)
         result["oracle"] = {"colorable": oracle_says, "agrees": oracle_says == colorable}
         if oracle_says != colorable:
             return result, InternalCheckError(
@@ -237,6 +236,10 @@ def _cmd_decide(args: argparse.Namespace) -> _Answer:
 
 
 def _cmd_color(args: argparse.Namespace) -> _Answer:
+    from .construct import color_kronecker
+    from .files import format_coloring, write_coloring
+    from .grid import verify
+
     p = Params(args.m, args.n, args.r)
     _check_limit("m*n", p.m * p.n, MAX_COLOR_CELLS)
     _check_limit("k", args.k, MAX_COLOR_K)
@@ -271,20 +274,24 @@ def _cmd_color(args: argparse.Namespace) -> _Answer:
     return result, None
 
 
-def _read_ascii(path: str) -> str:
-    """The file as ASCII text, no newlines translated, within the byte limit."""
+def _read_bytes(path: str) -> bytes:
+    """The file's bytes, within the byte limit."""
     try:
         with open(path, "rb") as stream:
             data = stream.read(MAX_VERIFY_BYTES + 1)
     except OSError as exc:
         raise ParameterDomainError(f"cannot read {path}: {exc}") from exc
     _check_limit("file bytes", len(data), MAX_VERIFY_BYTES)
-    return decode_ascii(data)
+    return data
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Answer:
-    # Neither the bytes nor the text outlive the parse.
-    coloring = parse_coloring(_read_ascii(args.file))
+    from .files import decode_ascii, parse_coloring
+    from .grid import verify
+
+    # Neither the bytes nor the text outlive the parse; no newline is
+    # translated.
+    coloring = parse_coloring(decode_ascii(_read_bytes(args.file)))
     _check_limit("m*n", coloring.m * coloring.n, MAX_COLOR_CELLS)
     report = verify(args.r, coloring)
     result = {

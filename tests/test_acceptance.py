@@ -10,6 +10,7 @@ everything else is seconds.  Run only the quick part of the suite with
 ``pytest --ignore=tests/test_acceptance.py`` during development.
 """
 
+import math
 import time
 
 from equicolor import closed_forms as cf
@@ -108,28 +109,41 @@ def test_thresholds_match_oracle_and_hit_both_branches(capsys):
 
     mismatches = []
     branch_hits = {"residue-small-gap": 0, "otherwise": 0}
+    # At r = 1 the two oracle thresholds are equal exactly when lcm(1..m)
+    # divides n and n mod (m+1) is 0 or m (README derives it).
+    r_1_agree = {True: 0, False: 0}
     for m, n, r in triples:
         p = Params(m, n, r)
         t = cf.threshold_kronecker(p)
         branch_hits[t.case.value] += 1
-        if t.value != oracle_threshold(p, oracle_kronecker_colorable, WIDE_BUDGET):
+        kron = oracle_threshold(p, oracle_kronecker_colorable, WIDE_BUDGET)
+        if t.value != kron:
             mismatches.append(("kronecker", m, n, r, t.value))
         mt = cf.threshold_multipartite(p)
-        if mt != oracle_threshold(p, oracle_multipartite_colorable, WIDE_BUDGET):
+        multi = oracle_threshold(p, oracle_multipartite_colorable, WIDE_BUDGET)
+        if mt != multi:
             mismatches.append(("multipartite", m, n, r, mt))
+        if r == 1 and m * n <= 24:
+            agree = n % math.lcm(*range(1, m + 1)) == 0 and n % (m + 1) in (0, m)
+            r_1_agree[agree] += 1
+            if agree != (kron == multi):
+                mismatches.append(("r = 1 predicate", m, n, r, agree))
     ok = (
         not mismatches
         and branch_hits["residue-small-gap"] >= 5
         and branch_hits["otherwise"] >= 5
+        and min(r_1_agree.values()) > 0
     )
     report(
         capsys,
-        "threshold formulas vs oracle thresholds",
+        "threshold formulas and the r = 1 predicate vs oracle thresholds",
         ok,
-        f"{len(triples)} instances, branches {branch_hits}, "
+        f"{len(triples)} instances, branches {branch_hits}, r = 1 pairs "
+        f"agreeing/differing {r_1_agree[True]}/{r_1_agree[False]}, "
         f"{len(mismatches)} mismatches, {time.monotonic() - start:.2f}s",
     )
     assert not mismatches, mismatches[:5]
+    assert min(r_1_agree.values()) > 0, r_1_agree
     assert branch_hits["residue-small-gap"] >= 5, branch_hits
     assert branch_hits["otherwise"] >= 5, branch_hits
 

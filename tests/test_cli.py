@@ -9,7 +9,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from typing import Any
 
 import jsonschema
@@ -17,7 +20,7 @@ import pytest
 
 from equicolor import cli
 from equicolor import closed_forms as cf
-from equicolor import construct
+from equicolor import construct, files, grid, oracle
 from equicolor.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -28,7 +31,7 @@ from equicolor.cli import (
     SCHEMA_VERSION,
     main,
 )
-from equicolor.files import parse_coloring
+from equicolor.files import parse_coloring, write_coloring
 from equicolor.grid import Coloring, verify
 
 # One fixed schema covering every envelope the CLI emits at
@@ -577,7 +580,7 @@ def test_decide_oracle_disagreement_prints_envelope_then_exits_5(monkeypatch):
     def contrary(p, k, budget):
         return not cf.kronecker_colorable(p, k)
 
-    monkeypatch.setitem(cli._DECIDERS, "kronecker", (cf.kronecker_verdict, contrary))
+    monkeypatch.setattr(oracle, "oracle_kronecker_colorable", contrary)
     both = io.StringIO()  # one buffer, so the order of the streams shows
     with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
         code = main(["decide", "-m", "3", "-n", "7", "-r", "2", "-k", "4",
@@ -611,7 +614,7 @@ def test_table_equality_contradiction_exits_5_with_no_output(fmt, capsys, monkey
 
 
 def test_color_self_check_failure_exits_5_with_no_output(capsys, monkeypatch):
-    real = cli.color_kronecker
+    real = construct.color_kronecker
 
     def corrupted(p, k):
         good = real(p, k)
@@ -619,7 +622,7 @@ def test_color_self_check_failure_exits_5_with_no_output(capsys, monkeypatch):
         moved = (first[1:], second + first[:1], *rest)
         return Coloring(good.m, good.n, moved)
 
-    monkeypatch.setattr(cli, "color_kronecker", corrupted)
+    monkeypatch.setattr(construct, "color_kronecker", corrupted)
     bad = corrupted(cf.Params(2, 10, 2), 6)
     details = "; ".join(v.detail for v in verify(2, bad).violations)
     assert details
@@ -636,7 +639,7 @@ def test_color_witness_off_the_grid_exits_5_with_no_output(capsys, monkeypatch):
     def stray(p, k):
         return Coloring(3, 4, (((4, 1),), *[()] * (k - 1)))
 
-    monkeypatch.setattr(cli, "color_kronecker", stray)
+    monkeypatch.setattr(construct, "color_kronecker", stray)
     captured = run(["color", "-m", "3", "-n", "4", "-r", "1", "-k", "4"], capsys,
                    expect=EXIT_INTERNAL)
     assert captured.out == ""
@@ -692,10 +695,10 @@ def test_unbounded_inputs_are_refused_before_any_work(argv, limit, capsys,
                                                      monkeypatch, tmp_path):
     # The work itself is replaced, so a missing guard fails fast instead
     # of allocating or scanning.
-    monkeypatch.setattr(cli, "color_kronecker", _reached)
+    monkeypatch.setattr(construct, "color_kronecker", _reached)
     monkeypatch.setattr(cli, "_table_row", _reached)
     monkeypatch.setattr(cli, "_threshold_fields", _reached)
-    monkeypatch.setattr(cli, "verify", _reached)
+    monkeypatch.setattr(grid, "verify", _reached)
     path = tmp_path / "big.ec"
     path.write_text("equicolor v1\nm=100000 n=100000 k=1\n1:\n")
     argv = [str(path) if a == "{file}" else a for a in argv]
@@ -704,10 +707,10 @@ def test_unbounded_inputs_are_refused_before_any_work(argv, limit, capsys,
 
 
 def test_input_limits_are_inclusive(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "color_kronecker", _reached)
+    monkeypatch.setattr(construct, "color_kronecker", _reached)
     monkeypatch.setattr(cli, "_table_row", _reached)
     monkeypatch.setattr(cli, "_threshold_fields", _reached)
-    monkeypatch.setattr(cli, "verify", _reached)
+    monkeypatch.setattr(grid, "verify", _reached)
     with pytest.raises(_Reached):
         main(["color", "-m", "1000", "-n", "1000", "-r", "1",
               "-k", str(cli.MAX_COLOR_K)])
@@ -749,7 +752,7 @@ def test_verify_byte_limit_is_the_largest_color_file(tmp_path):
 
 
 def test_verify_refuses_files_over_the_byte_limit(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "parse_coloring", _reached)
+    monkeypatch.setattr(files, "parse_coloring", _reached)
     path = tmp_path / "big.ec"
     with path.open("wb") as sparse:
         sparse.truncate(cli.MAX_VERIFY_BYTES + 1)
@@ -764,7 +767,7 @@ def test_verify_refuses_files_over_the_byte_limit(capsys, monkeypatch, tmp_path)
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_verify_refuses_a_pipe_over_the_byte_limit(capsys, monkeypatch, tmp_path):
     # A pipe reports 0 bytes to stat, so only a capped read bounds it.
-    monkeypatch.setattr(cli, "parse_coloring", _reached)
+    monkeypatch.setattr(files, "parse_coloring", _reached)
     fifo = tmp_path / "pipe.ec"
     os.mkfifo(fifo)
 
@@ -842,3 +845,49 @@ def test_missing_required_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "-m", "2", "-n", "3", "-r", "1"])  # no --family
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------
+# start-up
+# ------------------------------------------------------------
+
+# Run in a fresh interpreter: the package modules in sys.modules after
+# `import equicolor.cli` and, when argv is given, one command.
+_LOADED = (
+    "import contextlib, io, sys\n"
+    "from equicolor import cli\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(sys.argv[1:]) == 0\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('equicolor'))))\n"
+)
+_CLOSED_FORMS_ONLY = ["equicolor", "equicolor.cli", "equicolor.closed_forms", "equicolor.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ([], []),
+        (["threshold", "--family", "kronecker", "-m", "3", "-n", "7", "-r", "2"], []),
+        (["threshold", "--family", "multipartite", "-m", "3", "-n", "7", "-r", "2"], []),
+        (["decide", "-m", "3", "-n", "7", "-r", "2", "-k", "5"], []),
+        (["table", "-m", "2..3", "-n", "5..6", "-r", "1..2"], []),
+        (["decide", "-m", "2", "-n", "3", "-r", "1", "-k", "3", "--oracle"],
+         ["equicolor.oracle"]),
+        (["color", "-m", "3", "-n", "7", "-r", "2", "-k", "5"],
+         ["equicolor.construct", "equicolor.files", "equicolor.grid"]),
+        (["color", "-m", "3", "-n", "7", "-r", "2", "-k", "5", "--out", "{file}"],
+         ["equicolor.construct", "equicolor.files", "equicolor.grid"]),
+        (["verify", "-r", "2", "{file}"], ["equicolor.files", "equicolor.grid"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
+    path = tmp_path / "witness.ec"
+    write_coloring(path, construct.color_kronecker(cf.Params(3, 7, 2), 5))
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split() == sorted(_CLOSED_FORMS_ONLY + extra)

@@ -40,9 +40,19 @@ def test_every_job_has_a_timeout_and_the_weekly_job_runs_the_mutants():
     assert "python3 tools/mutate.py" in [step.get("run") for step in jobs["full"]["steps"]]
 
 
+def test_a_push_or_pull_request_runs_the_mutants_once():
+    # A surviving mutant fails the change that let it survive, on the
+    # quick job's 3.11 leg only.
+    quick = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())["jobs"]["quick"]
+    assert quick["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    mutants = [step for step in quick["steps"] if step.get("run") == "python3 tools/mutate.py"]
+    assert mutants == [{"if": "matrix.python-version == '3.11'",
+                        "run": "python3 tools/mutate.py"}]
+
+
 def test_every_mutant_applies_at_exactly_one_site():
-    # The weekly job is the only one that runs the mutants, so a mutant a
-    # source edit has orphaned is caught here instead.
+    # The mutants run on one leg of the quick job only, so a mutant a
+    # source edit has orphaned is caught here on every leg.
     path = ROOT / "tools/mutate.py"
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
     spec = importlib.util.spec_from_file_location("mutate", path)

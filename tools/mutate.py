@@ -90,6 +90,8 @@ MUTANTS = (
            "value > limit", "value >= limit", CLI),
     Mutant("oracle-disagreement-ignored", "cli.py", "_cmd_decide",
            "oracle_says != colorable", "False", CLI),
+    Mutant("color-self-check-skipped", "cli.py", "_cmd_color",
+           "not report.valid", "False", CLI),
 )
 
 EQUIVALENT: dict[str, str] = {}  # mutant name -> why no test can kill it
