@@ -80,7 +80,7 @@ MAX_VERIFY_BYTES = 18_777_829
 # min(N, isqrt(N*(r-1))) steps: at most 477 more over random N up to 10**9
 # and r <= 50, and theta = 46 for r = 1 at N near 9.4 * 10**18.  10**7
 # steps take about 1 s.  K_{m(n)} scans over n only; K_m x K_n over
-# max(m, n), after the swap to m <= n.
+# max(m, n), after the swap to m <= n; the edgeless m = 1 scans nothing.
 MAX_THETA_STEPS = 10**7
 
 
@@ -89,8 +89,9 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ParameterDomainError(f"input limit {what} <= {limit}, got {value}")
 
 
-def _theta_steps(N: int, r: int) -> int:
-    return min(N, math.isqrt(N * (r - 1)))
+def _theta_steps(p: Params, family: str) -> int:
+    q = p.canonical() if family == "kronecker" else p  # as _threshold_fields does
+    return min(q.n, math.isqrt(q.n * (q.r - 1))) if q.m >= 2 else 0
 
 
 # ============================================================
@@ -185,8 +186,7 @@ def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
 
 def _cmd_threshold(args: argparse.Namespace) -> _Answer:
     p = Params(args.m, args.n, args.r)
-    scanned = p.n if args.family == "multipartite" else max(p.m, p.n)
-    _check_limit("theta scan steps", _theta_steps(scanned, p.r), MAX_THETA_STEPS)
+    _check_limit("theta scan steps", _theta_steps(p, args.family), MAX_THETA_STEPS)
     return _threshold_fields(p, args.family), None
 
 
@@ -351,8 +351,9 @@ def _cmd_table(args: argparse.Namespace) -> _Answer:
     r_range = _parse_range(args.r, "r")
     count = math.prod(max(0, x.stop - x.start) for x in (m_range, n_range, r_range))
     _check_limit("rows", count, MAX_TABLE_ROWS)
-    if count:  # the Kronecker rows scan the most, over max(m, n)
-        steps = _theta_steps(max(m_range[-1], n_range[-1]), r_range[-1])
+    if count:  # no row scans longer than the last, at the largest m, n and r
+        last = Params(m_range[-1], n_range[-1], r_range[-1])
+        steps = max(_theta_steps(last, "kronecker"), _theta_steps(last, "multipartite"))
         _check_limit("rows * theta scan steps", count * steps, MAX_THETA_STEPS)
     rows = []
     for m in m_range:

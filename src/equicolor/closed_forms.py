@@ -39,13 +39,13 @@ division.  The derived quantities:
 * ``theta_min(m, n, r)`` adds the cap m * ceil(n / (theta+r)) <= gamma to
   the same scan; it feeds the product threshold's generic branch.
 
-The product threshold itself has two branches.  When the residue t lies in
-[2, m-1] and the two-sided rounding gap ceil(n / s) - n // (s+1) exceeds r
-(where s = n // (m+r)), the threshold is n - r*s; otherwise it is
-m * ceil(n / (theta_min + r)).  Membership for a single k (rather than the
-threshold) is decided by ``kronecker_colorable``: k is good iff k >= gamma
-or K_{m(n)} is k-colorable, that is k >= m and the multipartite size
-condition ceil(n / (k // m)) - n // ceil(k / m) <= r holds.
+Membership for a single k (rather than the threshold) is decided by
+``kronecker_colorable``: k is good iff k >= gamma or K_{m(n)} is
+k-colorable, that is k >= m and the multipartite size condition
+ceil(n / (k // m)) - n // ceil(k / m) <= r holds.  The product threshold
+follows from that rule in two branches.  When gamma's first side wins
+and K_{m(n)} refuses k = gamma - 1, the threshold is gamma itself,
+n - r*(n // (m+r)); otherwise it is m * ceil(n / (theta_min + r)).
 
 Everything in this module is cross-checked elsewhere against brute-force
 oracles that know nothing about these formulas (see equicolor.oracle).
@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalCheckError, ParameterDomainError, require_int
+from .errors import ParameterDomainError, require_int
 
 # ============================================================
 # Reason tags for single-k decisions
@@ -242,21 +242,18 @@ def threshold_at(p: Params, theta: int) -> int:
 def threshold_kronecker(p: Params) -> ThresholdResult:
     """r-equitable chromatic threshold of K_m x K_n, with branch detail.
 
-    Requires 2 <= m <= n.  Let s = n // (m+r) and t = n mod (m+r).  The
-    residue branch fires when 2 <= t <= m-1 and
-    ceil(n / s) - n // (s+1) > r, and then the threshold is n - r*s.
-    (t >= 2 forces s >= 1 there: t <= m - 1 <= n - 1 means n > t, so
-    n >= m + r.)  Otherwise the threshold is m * ceil(n / (theta_min + r)).
+    Requires 2 <= m <= n.  The threshold is gamma = n - r*s, s = n // (m+r),
+    when gamma's first side wins and K_{m(n)} refuses gamma - 1 (the
+    residue branch); otherwise it is m * ceil(n / (theta_min + r)).  This
+    is the paper's 2 <= t <= m-1 and ceil(n / s) - n // (s+1) > r, where
+    t = n mod (m+r): the first side wins iff 1 <= t <= m-1, and then s >= 1
+    (else n = t < m) and gamma - 1 = m*s + t - 1.  K_{m(n)} at that k tests
+    the very gap for t >= 2, and ceil(n / s) - n // s <= 1 <= r for t = 1.
     """
     _require_canonical(p, "threshold_kronecker")
     g = gamma(p)
-    s = p.n // (p.m + p.r)
-    t = g.residue
-    if 2 <= t <= p.m - 1:
-        if s < 1:
-            raise InternalCheckError(f"residue branch with s=0 for {p}")
-        if ceil_div(p.n, s) - p.n // (s + 1) > p.r:
-            return ThresholdResult(p.n - p.r * s, ThresholdCase.RESIDUE_SMALL_GAP, None, g)
+    if g.trichotomy is Trichotomy.LESS and not multipartite_verdict(p, g.value - 1)[0]:
+        return ThresholdResult(g.value, ThresholdCase.RESIDUE_SMALL_GAP, None, g)
     theta = theta_min(p)
     return ThresholdResult(threshold_at(p, theta), ThresholdCase.OTHERWISE, theta, g)
 

@@ -13,9 +13,9 @@ tag of :func:`~equicolor.closed_forms.kronecker_verdict` picks the plan,
 then k against n and m*n, and :func:`_realize` places the classes:
 
 * ``edgeless`` or ``multipartite-condition``, and every K_{m(n)}:
-  multipartite rows, b = n // ceil(k/m), C = G = 0; the tag certifies
-  the multipartite size condition.  b = 0 (when ceil(k/m) > n) leaves
-  the per-row class count unbounded, so k > m*n gives empty classes.
+  K_{m(n)}'s multipartite rows, b = n // ceil(k/m), C = G = 0, which
+  its spanning subgraph K_m x K_n inherits.  b = 0 (when ceil(k/m) > n)
+  leaves the per-row class count unbounded, so k > m*n gives empty classes.
 * ``at-or-above-gamma``, k <= n: columns plus row splits, b = m, C = c*m,
   G = c: c = k - m*s' full columns, and every row split into s' classes
   of sizes in [m, m+r], where s = n // (m+r) and s' is s, or s+1 when
@@ -130,7 +130,7 @@ def color_kronecker(p: Params, k: int) -> Coloring:
     """An r-equitable k-coloring of K_m x K_n (canonical m <= n).
 
     The verdict's reason tag picks the plan, as the module docstring says;
-    the edgeless 1-by-n grid is K_{1(n)} and gets the multipartite rows.
+    below gamma the witness is K_{m(n)}'s, the edgeless 1-by-n grid's too.
     The returned coloring always has exactly k classes, every class
     inside one row or one column, and size gap at most r.
 
@@ -146,8 +146,8 @@ def color_kronecker(p: Params, k: int) -> Coloring:
             reason,
         )
     if reason != REASON_AT_OR_ABOVE_GAMMA:  # edgeless or multipartite-condition
-        plan = (p.n // ceil_div(k, p.m), 0, 0)
-    elif k <= p.n:
+        return color_multipartite(p, k)
+    if k <= p.n:
         s = p.n // (p.m + p.r)
         s_eff = s + 1 if p.n % (p.m + p.r) > p.m else s
         c = k - p.m * s_eff
@@ -174,25 +174,26 @@ def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
     both the column side and k - G fits the row side.  The least G that
     carries C is computed, since the column load grows monotonically in G
     and fills column by column (:func:`_least_column_classes`).
+
+    A row keeping x cells takes lo = ceil(x/w) to hi = x // b classes
+    (w = b + r); m - e rows keep y = n - C // m cells, the e = C mod m
+    others y - 1, and [p_lo, p_hi] sums their windows.  An empty window
+    needs no test: lo <= ceil(x/b) <= hi + 1 makes its lo - hi = 1, and
+    lo and hi each rise by 0 or 1 from x - 1 to x, so the other group's
+    lo - hi >= 0.  Then p_lo > p_hi, and no G has k - p_hi <= G <= k - p_lo.
     """
     m, n, r = p.m, p.n, p.r
     for b in range(m * n // k, 0, -1):
         w = b + r
         col_budget = n * (m // b)  # a column hosts at most m // b classes
         for cells in range(m * n + 1):
-            # A row keeping x cells takes ceil(x/w) to x//b classes.
-            donate, d_extra = divmod(cells, m)
-            p_lo = p_hi = 0
-            for rows, kept in ((m - d_extra, n - donate), (d_extra, n - donate - 1)):
-                lo, hi = ceil_div(kept, w), kept // b
-                if rows and lo > hi:
-                    break
-                p_lo += rows * lo
-                p_hi += rows * hi
-            else:
-                # Also rejects C the columns cannot hold (least G > col_budget).
+            y, e = n - cells // m, cells % m
+            p_lo = (m - e) * ceil_div(y, w) + e * ceil_div(y - 1, w)
+            p_hi = (m - e) * (y // b) + e * ((y - 1) // b)
+            g_hi = min(cells // b, col_budget, k - p_lo)  # G's upper bounds
+            if k - p_hi <= g_hi:  # then the costly lower bound, the least G carrying C
                 col_cls = max(_least_column_classes(cells, m, n, w), k - p_hi)
-                if col_cls <= min(cells // b, col_budget) and p_lo <= k - col_cls:
+                if col_cls <= g_hi:
                     return b, cells, col_cls
     raise InternalCheckError(
         f"no scatter layout found for {p}, k={k}; "

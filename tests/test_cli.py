@@ -263,6 +263,30 @@ def test_multipartite_threshold_estimate_walks_n_only(capsys):
     assert env["result"]["value"] == cf.threshold_multipartite(cf.Params(10**12, 5, 1000))
 
 
+@pytest.mark.parametrize("family, m, n", [
+    ("multipartite", 1, 10**20),
+    ("kronecker", 10**20, 1),
+    ("kronecker", 1, 10**20),
+])
+def test_edgeless_threshold_runs_no_scan_and_meets_no_scan_limit(family, m, n, capsys):
+    # m = 1 (after the swap to m <= n for K_m x K_n) is edgeless: the
+    # answer is 1 with no theta scan, so the scan limit does not apply.
+    env = run_json(["threshold", "--family", family, "-m", str(m), "-n", str(n),
+                    "-r", "3"], capsys)
+    assert env["result"]["value"] == 1
+    assert env["result"]["note"] == "edgeless"
+
+
+@pytest.mark.parametrize("m, n, multipartite", [(1, 10**20, 1), (10**20, 1, 10**20)])
+def test_table_rows_that_scan_nothing_meet_no_scan_limit(m, n, multipartite, capsys):
+    # The Kronecker row is edgeless both ways round; K_{m(n)} with n = 1
+    # scans over n = 1 only.
+    env = run_json(["table", "-m", str(m), "-n", str(n), "-r", "3"], capsys)
+    (row,) = env["result"]["rows"]
+    assert (row["kronecker"], row["case"]) == (1, "edgeless")
+    assert row["multipartite"] == multipartite
+
+
 def test_threshold_rejects_bad_parameters(capsys):
     run(
         ["threshold", "--family", "kronecker", "-m", "0", "-n", "3", "-r", "1"],

@@ -222,6 +222,8 @@ def test_threshold_kronecker_branch_invariants(m, nd, r):
         assert 2 <= t.gamma.residue <= m - 1
         assert ceil_div(p.n, s) - p.n // (s + 1) > r
     else:
+        # The paper's literal condition fails here (s >= 1 when 2 <= t).
+        assert not (2 <= t.gamma.residue <= m - 1 and ceil_div(p.n, s) - p.n // (s + 1) > r)
         assert t.theta is not None
         assert t.value == m * ceil_div(p.n, t.theta + r)
         assert t.value <= t.gamma.value

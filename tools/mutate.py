@@ -47,6 +47,8 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    Mutant("residue-test-at-gamma", "closed_forms.py", "threshold_kronecker",
+           "g.value - 1", "g.value", CLOSED_FORMS),
     Mutant("gamma-test-strict", "closed_forms.py", "kronecker_verdict",
            "k >= gamma(p).value", "k > gamma(p).value", CLOSED_FORMS),
     Mutant("orientation-unchecked", "closed_forms.py", "_require_canonical",
@@ -67,6 +69,8 @@ MUTANTS = (
     Mutant("larger-run-last", "construct.py", "_realize",
            "[(sizes[0], extra), (sizes[-1], len(sizes) - extra)]",
            "[(sizes[-1], len(sizes) - extra), (sizes[0], extra)]", CONSTRUCT),
+    Mutant("short-rows-counted-full", "construct.py", "_scatter_layout",
+           "ceil_div(y - 1, w)", "ceil_div(y, w)", CONSTRUCT),
     Mutant("least-column-classes-shifted", "construct.py", "_least_column_classes",
            "(cells - 1) // (n * w)", "cells // (n * w)", CONSTRUCT),
     Mutant("imbalance-unchecked", "grid.py", "verify", "hi - lo > r", "False", GRID),
