@@ -20,11 +20,12 @@ then k against n and m*n, and :func:`_realize` places the classes:
   G = c: c = k - m*s' full columns, and every row split into s' classes
   of sizes in [m, m+r], where s = n // (m+r) and s' is s, or s+1 when
   the residue n mod (m+r) exceeds m.  This construction witnesses gamma.
-* n < k <= m*n: scatter, b and C scanned, G computed; the scan
-  :func:`_scatter_layout` returns the plan.  Classes need not be
-  contiguous - a class is any subset of one row or one column - and that
-  freedom is essential: some instances (for example m=6, n=10, r=1,
-  k=15) admit no coloring made of contiguous runs.
+* n < k <= m*n: scatter, b = m*n // k, C scanned from 0, at most
+  (m-1)(b+1) steps, G computed; the scan :func:`_scatter_layout` returns
+  the plan.  Classes need not be contiguous - a class is any subset of
+  one row or one column - and that freedom is essential: some instances
+  (for example m=6, n=10, r=1, k=15) admit no coloring made of
+  contiguous runs.
 * k > m*n: singletons; every cell is its own class and the remaining
   k - m*n classes stay empty, last (the size gap is 1 <= r).
 
@@ -163,54 +164,51 @@ def color_kronecker(p: Params, k: int) -> Coloring:
 def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
     """The n < k <= m*n plan (b, C, G): column classes fed by the rows.
 
-    Scans a base size b from m*n // k, the largest min size any k-class
-    partition allows, down to 1, and a columnar cell total C from 0 up;
-    C = 0 is the pure row-split layout, used whenever it can realize
-    exactly k classes.  Because the donations :func:`_realize` takes are
-    near-even, any per-column load vector with entries at most m can be
-    realized by giving each column the rows with the largest remaining
-    donation budget, so feasibility reduces to arithmetic on class-count
-    intervals: the scan accepts the first (b, C) for which some G fits
-    both the column side and k - G fits the row side.  The least G that
-    carries C is computed, since the column load grows monotonically in G
-    and fills column by column (:func:`_least_column_classes`).
+    b = m*n // k, the largest min size any k-class partition allows, and
+    C is the first columnar cell total from 0 up (C = 0 is the pure
+    row-split layout) for which some G fits the column side and k - G the
+    row side.  Because :func:`_realize`'s donations are near-even, any
+    per-column load vector with entries at most m is realizable, so
+    feasibility is arithmetic on class-count intervals.  A row keeping x
+    cells takes lo = ceil(x/w) to hi = x // b classes (w = b + r); m - e
+    rows keep y = n - C // m cells, the e = C mod m others y - 1, and
+    [p_lo, p_hi] sums their windows.  An empty window needs no test:
+    lo <= ceil(x/b) <= hi + 1 makes its lo - hi = 1, and lo and hi each
+    rise by 0 or 1 from x - 1 to x, so the other group's lo - hi >= 0.
+    Then p_lo > p_hi, and no G has k - p_hi <= G <= k - p_lo.
 
-    A row keeping x cells takes lo = ceil(x/w) to hi = x // b classes
-    (w = b + r); m - e rows keep y = n - C // m cells, the e = C mod m
-    others y - 1, and [p_lo, p_hi] sums their windows.  An empty window
-    needs no test: lo <= ceil(x/b) <= hi + 1 makes its lo - hi = 1, and
-    lo and hi each rise by 0 or 1 from x - 1 to x, so the other group's
-    lo - hi >= 0.  Then p_lo > p_hi, and no G has k - p_hi <= G <= k - p_lo.
+    Lemma: with j = k // m, G' = k mod m, C' = max(m*n - m*j*(b+1), G'*b),
+    (b, C', G') is accepted; here 1 <= b <= m-1 and j >= 1.  As w grows,
+    p_lo and the least G only fall and the other bounds stay, so take
+    r = 1.  By k*b <= m*n every row keeps j*b to j*(b+1) cells, so p_lo <=
+    m*j = k - G' <= p_hi.  By m*n <= k*(b+1), G'*b <= C' <= G'*(b+1), and
+    as G' <= m-1 <= n and b+1 <= m, the least G carrying C' is at most
+    G' <= min(C' // b, n*(m // b)).  By m*j >= k-m+1 and k*(b+1) > m*n,
+    C' <= (m-1)(b+1) - 1, which bounds every C the scan visits.  Hence:
+    b needs no search; a column's cap of m // b classes never binds, as
+    C // b <= m-1 + (m-2) // b is at most m <= n when m // b = 1, and
+    below m + f <= m*f <= n*f when f = m // b >= 2; and C < n*(b+1) <=
+    n*w, so the balanced column loads :func:`_realize` fills (min(g*w, m)
+    cells for g classes) reach C with at most one class per column, and
+    the least G carrying C is ceil(C / min(w, m)).  The raise below is
+    thus unreachable; it stays as a self-check.
     """
     m, n, r = p.m, p.n, p.r
-    for b in range(m * n // k, 0, -1):
-        w = b + r
-        col_budget = n * (m // b)  # a column hosts at most m // b classes
-        for cells in range(m * n + 1):
-            y, e = n - cells // m, cells % m
-            p_lo = (m - e) * ceil_div(y, w) + e * ceil_div(y - 1, w)
-            p_hi = (m - e) * (y // b) + e * ((y - 1) // b)
-            g_hi = min(cells // b, col_budget, k - p_lo)  # G's upper bounds
-            if k - p_hi <= g_hi:  # then the costly lower bound, the least G carrying C
-                col_cls = max(_least_column_classes(cells, m, n, w), k - p_hi)
-                if col_cls <= g_hi:
-                    return b, cells, col_cls
+    b = m * n // k
+    w = b + r
+    for cells in range(m * n + 1):
+        y, e = n - cells // m, cells % m
+        p_lo = (m - e) * ceil_div(y, w) + e * ceil_div(y - 1, w)
+        p_hi = (m - e) * (y // b) + e * ((y - 1) // b)
+        g_hi = min(cells // b, k - p_lo)  # G's upper bounds
+        if k - p_hi <= g_hi:
+            col_cls = max(ceil_div(cells, min(w, m)), k - p_hi)
+            if col_cls <= g_hi:
+                return b, cells, col_cls
     raise InternalCheckError(
         f"no scatter layout found for {p}, k={k}; "
         f"the decision rule said this instance is colorable"
     )
-
-
-def _least_column_classes(cells: int, m: int, n: int, w: int) -> int:
-    """Least G whose balanced column load (as :func:`_realize` places it,
-    classes of size at most w) reaches ``cells`` <= m*n.
-
-    With G = n*q + e, 0 <= e <= n, that load is n*min(q*w, m) +
-    e*(min((q+1)*w, m) - min(q*w, m)), non-decreasing in G.  As cells <=
-    m*n, the least G has q*w < m: q = (cells - 1) // (n*w), clamped at 0.
-    """
-    q = max(0, (cells - 1) // (n * w))
-    return n * q + ceil_div(cells - n * q * w, min((q + 1) * w, m) - q * w)
 
 
 def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:

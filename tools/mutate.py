@@ -71,8 +71,10 @@ MUTANTS = (
            "[(sizes[-1], len(sizes) - extra), (sizes[0], extra)]", CONSTRUCT),
     Mutant("short-rows-counted-full", "construct.py", "_scatter_layout",
            "ceil_div(y - 1, w)", "ceil_div(y, w)", CONSTRUCT),
-    Mutant("least-column-classes-shifted", "construct.py", "_least_column_classes",
-           "(cells - 1) // (n * w)", "cells // (n * w)", CONSTRUCT),
+    Mutant("least-column-classes-shifted", "construct.py", "_scatter_layout",
+           "min(w, m)", "w", CONSTRUCT),
+    Mutant("base-size-one-lower-when-exact", "construct.py", "_scatter_layout",
+           "m * n // k", "(m * n - 1) // k", CONSTRUCT),
     Mutant("imbalance-unchecked", "grid.py", "verify", "hi - lo > r", "False", GRID),
     Mutant("partition-blind-to-double-cover", "grid.py", "verify",
            "counts.count(1) != m * n", "0 in counts", GRID),
