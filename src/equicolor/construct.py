@@ -21,11 +21,11 @@ then k against n and m*n, and :func:`_realize` places the classes:
   of sizes in [m, m+r], where s = n // (m+r) and s' is s, or s+1 when
   the residue n mod (m+r) exceeds m.  This construction witnesses gamma.
 * n < k <= m*n: scatter, b = m*n // k, C scanned from 0, at most
-  (m-1)(b+1) steps, G computed; the scan :func:`_scatter_layout` returns
-  the plan.  Classes need not be contiguous - a class is any subset of
-  one row or one column - and that freedom is essential: some instances
-  (for example m=6, n=10, r=1, k=15) admit no coloring made of
-  contiguous runs.
+  (m-1)(b+1) steps, G <= k mod m computed; the scan
+  :func:`_scatter_layout` returns the plan.  Classes need not be
+  contiguous - a class is any subset of one row or one column - and that
+  freedom is essential: some instances (for example m=6, n=10, r=1,
+  k=15) admit no coloring made of contiguous runs.
 * k > m*n: singletons; every cell is its own class and the remaining
   k - m*n classes stay empty, last (the size gap is 1 <= r).
 
@@ -167,31 +167,31 @@ def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
     b = m*n // k, the largest min size any k-class partition allows, and
     C is the first columnar cell total from 0 up (C = 0 is the pure
     row-split layout) for which some G fits the column side and k - G the
-    row side.  Because :func:`_realize`'s donations are near-even, any
-    per-column load vector with entries at most m is realizable, so
-    feasibility is arithmetic on class-count intervals.  A row keeping x
-    cells takes lo = ceil(x/w) to hi = x // b classes (w = b + r); m - e
-    rows keep y = n - C // m cells, the e = C mod m others y - 1, and
-    [p_lo, p_hi] sums their windows.  An empty window needs no test:
+    row side.  :func:`_realize` gives each column class its own column
+    and any load of b to min(w, m) cells (w = b + r), so G <= n classes
+    carry C cells iff G*b <= C <= G*min(w, m).  A row keeping x cells
+    takes lo = ceil(x/w) to hi = x // b classes; m - e rows keep
+    y = n - C // m cells, the e = C mod m others y - 1, and [p_lo, p_hi]
+    sums their windows.  An empty window needs no test:
     lo <= ceil(x/b) <= hi + 1 makes its lo - hi = 1, and lo and hi each
     rise by 0 or 1 from x - 1 to x, so the other group's lo - hi >= 0.
     Then p_lo > p_hi, and no G has k - p_hi <= G <= k - p_lo.
 
     Lemma: with j = k // m, G' = k mod m, C' = max(m*n - m*j*(b+1), G'*b),
     (b, C', G') is accepted; here 1 <= b <= m-1 and j >= 1.  As w grows,
-    p_lo and the least G only fall and the other bounds stay, so take
-    r = 1.  By k*b <= m*n every row keeps j*b to j*(b+1) cells, so p_lo <=
-    m*j = k - G' <= p_hi.  By m*n <= k*(b+1), G'*b <= C' <= G'*(b+1), and
-    as G' <= m-1 <= n and b+1 <= m, the least G carrying C' is at most
-    G' <= min(C' // b, n*(m // b)).  By m*j >= k-m+1 and k*(b+1) > m*n,
-    C' <= (m-1)(b+1) - 1, which bounds every C the scan visits.  Hence:
-    b needs no search; a column's cap of m // b classes never binds, as
-    C // b <= m-1 + (m-2) // b is at most m <= n when m // b = 1, and
-    below m + f <= m*f <= n*f when f = m // b >= 2; and C < n*(b+1) <=
-    n*w, so the balanced column loads :func:`_realize` fills (min(g*w, m)
-    cells for g classes) reach C with at most one class per column, and
-    the least G carrying C is ceil(C / min(w, m)).  The raise below is
-    thus unreachable; it stays as a self-check.
+    p_lo and ceil(C / min(w, m)) only fall and the other bounds stay, so
+    take r = 1.  By k*b <= m*n every row keeps j*b to j*(b+1) cells, so
+    p_lo <= m*j = k - G' <= p_hi.  By m*n <= k*(b+1), G'*b <= C' <=
+    G'*(b+1), and b+1 <= m, so ceil(C' / min(w, m)) <= G' <= C' // b.  By
+    m*j >= k-m+1 and k*(b+1) > m*n, C' <= (m-1)(b+1) - 1, which bounds
+    every C the scan visits.  Hence b needs no search, and the raise
+    below is unreachable; it stays as a self-check.
+
+    G <= k mod m < n, so the scan needs no G <= n test: the G it takes at
+    C is G(C) = max(ceil(C / min(w, m)), k - p_hi(C)), which never falls
+    as C grows, since each further donated cell lowers one row's kept
+    count by 1 and so never raises p_hi.  The scan stops at some C <= C',
+    and both terms of G(C') are at most G' by the lemma.
     """
     m, n, r = p.m, p.n, p.r
     b = m * n // k
@@ -214,57 +214,51 @@ def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
 def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
     """Place the k classes of the plan (b, C, G) = (b, cells, col_cls).
 
-    * G column classes live on t = min(n, G) columns with balanced
-      per-column class counts g_j; column j holds z_j cells with
-      g_j*b <= z_j <= min(g_j*(b+r), m), the loads filled left to right.
+    * Column class j fills column j, for j = 1..G, so G <= n: G = 0 for
+      the rows plan, c <= k <= n for columns plus row splits, and
+      :func:`_scatter_layout` proves G <= k mod m for scatter.  Each
+      holds b to min(b + r, m) cells, so G*b <= C <= G*min(b + r, m):
+      b each, and the C - G*b spare cells filled in left to right.
     * Every row donates floor(C/m) or ceil(C/m) cells to those columns,
       the larger donations coming from the highest row indexes.  Column
-      j takes, in ascending order, the next z_j rows of one cyclic walk
-      over rows 1..m from row m - (C mod m) + 1 (row 1 if C mod m = 0).
-      These are the rows the greedy giving each column the rows with the
-      largest remaining budget (ties to the lowest row) picks: budgets
-      differ by at most 1, the larger held by the rows from the walk's
-      position to m, and every z_j <= m.
+      j takes, in ascending order, the next z_j rows (its load) of one
+      cyclic walk over rows 1..m from row m - (C mod m) + 1 (row 1 if
+      C mod m = 0).  These are the rows the greedy giving each column
+      the rows with the largest remaining budget (ties to the lowest row)
+      picks: budgets differ by at most 1, the larger held by the rows
+      from the walk's position to m, and every z_j <= m.
     * Each row takes the least class count its kept cells allow; the
       other k - G row classes are dealt round-robin, lowest row first,
       up to kept // b per row (no cap when b = 0).  Each row splits its
       kept cells near-evenly, in column order, into sizes in [b, b+r].
-    * Each run of equal class sizes is one ``islice(zip(*[cells] * size),
-      many)`` over a line's cells; the rows' cells are one stream over a
-      row-major mask of m*n bytes, cleared at donor cells by strided slices.
+    * The rows' cells are one stream over a row-major mask of m*n bytes,
+      cleared at donor cells by strided slices, and each run of equal
+      row class sizes is one ``islice(zip(*[stream] * size), many)``.
     """
     m, n, r = p.m, p.n, p.r
     w = b + r
-    if not (0 <= col_cls and col_cls * b <= cells <= m * n):
+    top = min(w, m)  # a column class's largest load
+    if not (0 <= col_cls <= n and col_cls * b <= cells <= col_cls * top):
         raise InternalCheckError(
             f"plan b={b} C={cells} G={col_cls} out of range for {p}, k={k}"
         )
 
-    # Column side: balanced class counts, loads filled left to right.
-    t = min(n, col_cls)
-    counts = split_sizes(col_cls, t, col_cls // t, 1) if t else []
-    loads = [g * b for g in counts]
-    spare = cells - col_cls * b
-    for j, g in enumerate(counts):
-        take = min(min(g * w, m) - loads[j], spare)
-        loads[j] += take
-        spare -= take
-    if spare:
-        raise InternalCheckError(f"column loads cannot absorb {spare} cells for {p}, k={k}")
-
-    # Row donations: near-even, the spares from the highest row indexes.
-    # ``walk`` is the 0-based row the donor walk takes next.
+    # Column side: class j takes column j's cells in the next rows of the
+    # donor walk; ``walk`` is the 0-based row the walk takes next.
     kept = split_sizes(m * n - cells, m, 0, n)
     free = bytearray(b"\1") * (m * n)  # 1 where a row keeps its cell
-    lines = []  # (cells, class sizes, rounds) per column, then per group of equal rows
+    classes: list[tuple[Cell, ...]] = []
+    spare = cells - col_cls * b
     walk = m - cells % m
-    for j, (load, g) in enumerate(zip(loads, counts), start=1):
+    for j in range(1, col_cls + 1):
+        load = min(top, b + spare)
+        spare -= load - b
         stop = walk + load
-        wrap, top = max(stop - m, 0), min(stop, m)  # rows 1..wrap, walk+1..top
+        wrap, last = max(stop - m, 0), min(stop, m)  # rows 1..wrap, walk+1..last
         free[j - 1 : wrap * n : n] = bytes(wrap)
-        free[walk * n + j - 1 : top * n : n] = bytes(top - walk)
-        rows = chain(range(1, wrap + 1), range(walk + 1, top + 1))
-        lines.append((zip(rows, repeat(j)), split_sizes(load, g, b, r), 1))
+        free[walk * n + j - 1 : last * n : n] = bytes(last - walk)
+        rows = chain(range(1, wrap + 1), range(walk + 1, last + 1))
+        classes.append(tuple(zip(rows, repeat(j))))
         walk = stop % m
 
     # Row side: distribute the remaining k - col_cls classes over rows,
@@ -287,12 +281,12 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         i = next(i for i, (x, y) in enumerate(zip(counted, kept), start=1) if x != y)
         raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
     stream = compress(product(range(1, m + 1), range(1, n + 1)), free)
-    lines += ((stream, split_sizes(x, c, b, r), len(list(group)))
-              for (x, c), group in groupby(zip(kept, row_cls)) if c)  # c = 0 keeps no cell
-    classes: list[tuple[Cell, ...]] = []
-    for line, sizes, times in lines:
+    for (x, c), group in groupby(zip(kept, row_cls)):
+        if not c:  # c = 0 keeps no cell
+            continue
+        sizes, times = split_sizes(x, c, b, r), len(list(group))
         extra = sizes.count(sizes[0])  # a near-even split is at most two runs
         runs = [(sizes[0], extra), (sizes[-1], len(sizes) - extra)] * times
         for size, many in [(sizes[0], extra * times)] if extra == len(sizes) else runs:
-            classes += islice(zip(*[line] * size), many) if size else repeat((), many)
+            classes += islice(zip(*[stream] * size), many) if size else repeat((), many)
     return Coloring(m, n, tuple(classes))

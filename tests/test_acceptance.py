@@ -13,6 +13,8 @@ everything else is seconds.  Run only the quick part of the suite with
 import math
 import time
 
+import pytest
+
 from equicolor import closed_forms as cf
 from equicolor.closed_forms import Params
 from equicolor.construct import color_kronecker
@@ -36,6 +38,30 @@ DEEP_BUDGET = OracleBudget(max_vertices=24, max_k=1000, node_limit=10**9)
 WIDE_BUDGET = OracleBudget(max_vertices=28, max_k=1000, node_limit=10**9)
 
 
+@pytest.fixture(scope="session")
+def oracles():
+    """The Kronecker and K_{m(n)} oracles, each finished verdict kept for
+    the session, keyed on (oracle, m, n, r, k).
+
+    Items 1 and 2 share a grid, so each decision runs once per session,
+    and either test run alone still decides all it needs.  The two
+    budgets differ only in max_vertices, which every shared (m, n) meets
+    under both.  A budget trip raises before anything is stored, so it
+    is met again on every call.
+    """
+    verdicts = {}
+
+    def once(oracle):
+        def decide(p, k, budget):
+            key = (oracle, p.m, p.n, p.r, k)
+            if key not in verdicts:
+                verdicts[key] = oracle(p, k, budget)
+            return verdicts[key]
+        return decide
+
+    return once(oracle_kronecker_colorable), once(oracle_multipartite_colorable)
+
+
 def small_grid_pairs(cap=24):
     """All 2 <= m <= n with m*n <= cap."""
     return [
@@ -57,7 +83,8 @@ def report(capsys, name, ok, detail=""):
 # ------------------------------------------------------------
 
 
-def test_decision_rules_match_oracles(capsys):
+def test_decision_rules_match_oracles(capsys, oracles):
+    kronecker_oracle, multipartite_oracle = oracles
     start = time.monotonic()
     mismatches = []
     skipped = []
@@ -67,8 +94,8 @@ def test_decision_rules_match_oracles(capsys):
             p = Params(m, n, r)
             for k in range(1, m * n + 2):
                 try:
-                    kron_truth = oracle_kronecker_colorable(p, k, DEEP_BUDGET)
-                    multi_truth = oracle_multipartite_colorable(p, k, DEEP_BUDGET)
+                    kron_truth = kronecker_oracle(p, k, DEEP_BUDGET)
+                    multi_truth = multipartite_oracle(p, k, DEEP_BUDGET)
                 except BudgetExceededError as exc:
                     skipped.append((m, n, r, k, str(exc)))
                     continue
@@ -97,7 +124,8 @@ def test_decision_rules_match_oracles(capsys):
 # ------------------------------------------------------------
 
 
-def test_thresholds_match_oracle_and_hit_both_branches(capsys):
+def test_thresholds_match_oracle_and_hit_both_branches(capsys, oracles):
+    kronecker_oracle, multipartite_oracle = oracles
     start = time.monotonic()
     # The small grid contains only three instances on the residue branch,
     # so two slightly larger ones are added to see that branch five
@@ -116,11 +144,11 @@ def test_thresholds_match_oracle_and_hit_both_branches(capsys):
         p = Params(m, n, r)
         t = cf.threshold_kronecker(p)
         branch_hits[t.case.value] += 1
-        kron = oracle_threshold(p, oracle_kronecker_colorable, WIDE_BUDGET)
+        kron = oracle_threshold(p, kronecker_oracle, WIDE_BUDGET)
         if t.value != kron:
             mismatches.append(("kronecker", m, n, r, t.value))
         mt = cf.threshold_multipartite(p)
-        multi = oracle_threshold(p, oracle_multipartite_colorable, WIDE_BUDGET)
+        multi = oracle_threshold(p, multipartite_oracle, WIDE_BUDGET)
         if mt != multi:
             mismatches.append(("multipartite", m, n, r, mt))
         if r == 1 and m * n <= 24:

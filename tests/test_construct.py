@@ -232,7 +232,8 @@ def test_scatter_layout_spot_instances(m, n, r, k):
 def test_scatter_layout_takes_the_largest_base_size():
     # _scatter_layout's lemma: b = m*n // k, the largest min size any
     # k-class partition allows, is always accepted, at or before
-    # C' = max(m*n - m*j*(b+1), (k mod m)*b) <= (m-1)(b+1) - 1, j = k // m.
+    # C' = max(m*n - m*j*(b+1), (k mod m)*b) <= (m-1)(b+1) - 1, j = k // m,
+    # and its G never exceeds k mod m < n.
     # Every n < k <= m*n is colorable (gamma <= n), so all draws reach
     # the scatter plan.
     rng = random.Random(15)
@@ -248,10 +249,11 @@ def test_scatter_layout_takes_the_largest_base_size():
         k = rng.randint(lo, hi)
         p = Params(m, n, rng.choice(rs))
         assert kronecker_colorable(p, k)
-        b, cells, _ = _scatter_layout(p, k)
+        b, cells, col_cls = _scatter_layout(p, k)
         assert b == m * n // k, (p, k)
         c_star = max(m * n - m * (k // m) * (b + 1), k % m * b)
         assert cells <= c_star <= (m - 1) * (b + 1) - 1, (p, k, cells)
+        assert col_cls <= k % m, (p, k, col_cls)  # hence one column each
 
 
 def test_scatter_layout_lemma_plan_passes_the_judge():
@@ -268,26 +270,12 @@ def test_scatter_layout_lemma_plan_passes_the_judge():
                     assert c.k == k and verify(r, c).valid, (p, k)
 
 
-def test_least_column_classes_matches_its_definition():
-    # The least G in [0, m*n] whose balanced load reaches C: t = min(n, G)
-    # columns get divmod(G, t) classes each, and a column with g classes
-    # holds min(g*w, m) cells.  The scatter scan visits only C <= n*w,
-    # where that least G is ceil(C / min(w, m)).
-    def balanced_load(g_total, m, n, w):
-        if g_total == 0:
-            return 0
-        t = min(n, g_total)
-        base, extra = divmod(g_total, t)
-        return (extra * min((base + 1) * w, m)
-                + (t - extra) * min(base * w, m))
-
-    for m in range(1, 13):
-        for n in range(m, 13):
-            for w in range(1, 11):
-                loads = [balanced_load(g, m, n, w) for g in range(m * n + 1)]
-                for cells in range(min(m * n, n * w) + 1):
-                    least = next(g for g, load in enumerate(loads) if load >= cells)
-                    assert ceil_div(cells, min(w, m)) == least, (m, n, w, cells)
+def test_realizer_refuses_more_column_classes_than_columns():
+    # Column class j fills column j, so G = n + 1 would clear column
+    # n + 1's donor cells in the next row's stretch of the kept-cell mask.
+    p = Params(3, 4, 1)
+    with pytest.raises(InternalCheckError, match="out of range"):
+        _realize(p, 6, 1, 5, p.n + 1)
 
 
 # ------------------------------------------------------------

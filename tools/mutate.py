@@ -66,6 +66,7 @@ MUTANTS = (
            "[base] * (count - extra) + [base + 1] * extra", CONSTRUCT),
     Mutant("donor-walk-one-row-later", "construct.py", "_realize",
            "m - cells % m", "(m - cells % m + 1) % m", CONSTRUCT),
+    Mutant("column-load-past-m", "construct.py", "_realize", "min(w, m)", "w", CONSTRUCT),
     Mutant("larger-run-last", "construct.py", "_realize",
            "[(sizes[0], extra), (sizes[-1], len(sizes) - extra)]",
            "[(sizes[-1], len(sizes) - extra), (sizes[0], extra)]", CONSTRUCT),
