@@ -13,7 +13,7 @@ submodule imports it (PEP 562).
 
 from importlib import import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _EXPORTS = {
     "closed_forms": "GammaResult Params ThresholdCase ThresholdResult Trichotomy ceil_div"

@@ -35,7 +35,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from typing import Any
 
 # Only the closed forms load with the module: each handler imports the
@@ -224,7 +223,7 @@ def _cmd_decide(args: argparse.Namespace) -> _Answer:
         from . import oracle
 
         limit = _node_limit_from_env(oracle.DEFAULT_BUDGET.node_limit)
-        budget = replace(oracle.DEFAULT_BUDGET, node_limit=limit)
+        budget = oracle.OracleBudget(node_limit=limit)
         oracle_says = getattr(oracle, oracle_name)(p, args.k, budget)
         result["oracle"] = {"colorable": oracle_says, "agrees": oracle_says == colorable}
         if oracle_says != colorable:

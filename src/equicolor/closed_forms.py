@@ -53,10 +53,9 @@ oracles that know nothing about these formulas (see equicolor.oracle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParameterDomainError, require_int
+from .errors import ParameterDomainError, _Record, _set, require_int
 
 # ============================================================
 # Reason tags for single-k decisions
@@ -79,8 +78,7 @@ def ceil_div(a: int, b: int) -> int:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Record):
     """Instance parameters: factor sizes m, n and allowed size gap r >= 1.
 
     For the Kronecker product the two factors commute, so product-side
@@ -90,14 +88,15 @@ class Params:
     not canonicalize for them.
     """
 
-    m: int
-    n: int
-    r: int
+    __slots__ = __match_args__ = ("m", "n", "r")
 
-    def __post_init__(self) -> None:
-        require_int("m", self.m, 1)
-        require_int("n", self.n, 1)
-        require_int("r", self.r, 1)
+    def __init__(self, m: int, n: int, r: int) -> None:
+        require_int("m", m, 1)
+        require_int("n", n, 1)
+        require_int("r", r, 1)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "r", r)
 
     def canonical(self) -> "Params":
         """The orientation with m <= n, swapping the factors if needed."""
@@ -129,11 +128,13 @@ class Trichotomy(Enum):
     GREATER = "greater"  # m*ceil(n/(m+r)) strictly smaller; t in [m+1, m+r-1]
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    value: int
-    trichotomy: Trichotomy
-    residue: int  # t = n mod (m+r), determines the trichotomy
+class GammaResult(_Record):
+    __slots__ = __match_args__ = ("value", "trichotomy", "residue")
+
+    def __init__(self, value: int, trichotomy: Trichotomy, residue: int) -> None:
+        _set(self, "value", value)
+        _set(self, "trichotomy", trichotomy)
+        _set(self, "residue", residue)  # t = n mod (m+r), determines the trichotomy
 
 
 def gamma(p: Params) -> GammaResult:
@@ -210,12 +211,16 @@ class ThresholdCase(Enum):
     OTHERWISE = "otherwise"
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    value: int
-    case: ThresholdCase
-    theta: int | None  # theta_min when the OTHERWISE branch fired, else None
-    gamma: GammaResult
+class ThresholdResult(_Record):
+    __slots__ = __match_args__ = ("value", "case", "theta", "gamma")
+
+    def __init__(
+        self, value: int, case: ThresholdCase, theta: int | None, gamma: GammaResult
+    ) -> None:
+        _set(self, "value", value)
+        _set(self, "case", case)
+        _set(self, "theta", theta)  # theta_min when the OTHERWISE branch fired, else None
+        _set(self, "gamma", gamma)
 
 
 def threshold_multipartite(p: Params) -> int:

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the equicolor package, and its one domain check.
+"""Exception hierarchy, domain check and record base of the equicolor package.
 
 Every error raised by the library derives from :class:`EquicolorError` so
 callers can catch one base class.  The CLI maps each subclass to a distinct
@@ -8,6 +8,8 @@ m, n, r, k and the oracle budgets.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class EquicolorError(Exception):
@@ -25,6 +27,42 @@ def require_int(name: str, value: int, minimum: int) -> None:
         raise ParameterDomainError(f"{name} must be an int, got {value!r}")
     if value < minimum:
         raise ParameterDomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+_set = object.__setattr__  # sets a field in a record's ``__init__``
+
+
+class _Record:
+    """A frozen record, kept here so that no command loads ``dataclasses``:
+    its fields are its ``__slots__ = __match_args__``, set with ``_set`` in
+    its ``__init__``, and equality (same class only), hash, ``repr`` and
+    pickling go through their tuple, as a frozen dataclass's do."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # The tuple of fields, read in C; every record has two or more.
+        cls._values = property(attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
 
 
 class GridBoundsError(EquicolorError, ValueError):

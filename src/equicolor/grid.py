@@ -23,11 +23,10 @@ and the pair search only for classes of two or more cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .errors import GridBoundsError, ParameterDomainError, require_int
+from .errors import GridBoundsError, ParameterDomainError, _Record, _set, require_int
 
 # ============================================================
 # Cells
@@ -41,8 +40,7 @@ Cell = tuple[int, int]  # (row, col)
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """An assignment of the m-by-n grid to k ordered color classes.
 
     ``classes[c]`` holds the cells of class c+1 (classes are 1-based in
@@ -50,9 +48,12 @@ class Coloring:
     time; :func:`verify` is the judge.
     """
 
-    m: int
-    n: int
-    classes: tuple[tuple[Cell, ...], ...]
+    __slots__ = __match_args__ = ("m", "n", "classes")
+
+    def __init__(self, m: int, n: int, classes: tuple[tuple[Cell, ...], ...]) -> None:
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "classes", classes)
 
     @property
     def k(self) -> int:
@@ -68,16 +69,20 @@ class ViolationKind(Enum):
     IMBALANCE = "imbalance"  # max class size - min class size > r
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    detail: str
+class Violation(_Record):
+    __slots__ = __match_args__ = ("kind", "detail")
+
+    def __init__(self, kind: ViolationKind, detail: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    violations: tuple[Violation, ...]
+class VerificationReport(_Record):
+    __slots__ = __match_args__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[Violation, ...]) -> None:
+        _set(self, "valid", valid)
+        _set(self, "violations", violations)
 
 
 def verify(r: int, coloring: Coloring) -> VerificationReport:

@@ -40,18 +40,16 @@ order; the test suite checks that under row and column relabelings.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .closed_forms import Params, ceil_div
-from .errors import BudgetExceededError, require_int
+from .errors import BudgetExceededError, _Record, _set, require_int
 
 # ============================================================
 # Budgets
 # ============================================================
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Record):
     """Resource caps for a single oracle call.
 
     max_vertices: largest m*n the vertex search accepts.
@@ -60,13 +58,14 @@ class OracleBudget:
         pairs.
     """
 
-    max_vertices: int = 24
-    max_k: int = 1000
-    node_limit: int = 10_000_000
+    __slots__ = __match_args__ = ("max_vertices", "max_k", "node_limit")
 
-    def __post_init__(self) -> None:
-        for name in ("max_vertices", "max_k", "node_limit"):
-            require_int(f"OracleBudget.{name}", getattr(self, name), 1)
+    def __init__(
+        self, max_vertices: int = 24, max_k: int = 1000, node_limit: int = 10_000_000
+    ) -> None:
+        for name, value in zip(self.__match_args__, (max_vertices, max_k, node_limit)):
+            require_int(f"OracleBudget.{name}", value, 1)
+            _set(self, name, value)
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -4,6 +4,7 @@ Commands run in-process through ``main(argv)``; stdout is parsed and,
 for JSON output, validated against the envelope schema below.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -876,14 +877,19 @@ def test_missing_required_argument_exits_2():
 # ------------------------------------------------------------
 
 # Run in a fresh interpreter: the package modules in sys.modules after
-# `import equicolor.cli` and, when argv is given, one command.
+# `import equicolor.cli` and, when argv is given, one command; then which
+# of the costly stdlib modules below that import and command loaded.
+_COSTLY = ("dataclasses", "inspect")
 _LOADED = (
-    "import contextlib, io, sys\n"
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import contextlib, io\n"
     "from equicolor import cli\n"
     "if sys.argv[1:]:\n"
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        assert cli.main(sys.argv[1:]) == 0\n"
     "print(' '.join(sorted(m for m in sys.modules if m.startswith('equicolor'))))\n"
+    f"print(' '.join(sorted(set({_COSTLY!r}) & (set(sys.modules) - before))))\n"
 )
 _CLOSED_FORMS_ONLY = ["equicolor", "equicolor.cli", "equicolor.closed_forms", "equicolor.errors"]
 
@@ -914,4 +920,19 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
         [sys.executable, "-c", _LOADED, *argv], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    assert run.stdout.split() == sorted(_CLOSED_FORMS_ONLY + extra)
+    package, costly = run.stdout.split("\n")[:2]
+    assert package.split() == sorted(_CLOSED_FORMS_ONLY + extra)
+    assert costly == ""
+
+
+def test_no_module_imports_dataclasses():
+    # Its import pulls in inspect, ast, dis and tokenize: about 9 ms of
+    # every CLI call.  The records derive from errors._Record instead.
+    sources = sorted(Path(cli.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name

@@ -12,7 +12,7 @@ import pytest
 
 import equicolor
 
-# The public surface of 0.3.0, by home module.
+# The public surface of 0.4.0, by home module.
 HOMES = {
     "closed_forms": [
         "GammaResult", "Params", "ThresholdCase", "ThresholdResult", "Trichotomy",

@@ -38,6 +38,9 @@ def test_every_job_has_a_timeout_and_the_weekly_job_runs_the_mutants():
     jobs = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())["jobs"]
     assert [name for name, job in jobs.items() if "timeout-minutes" not in job] == []
     assert "python3 tools/mutate.py" in [step.get("run") for step in jobs["full"]["steps"]]
+    # Both jobs also run the bench self-test.
+    for job in jobs.values():
+        assert "python3 bench/run.py --selftest" in [step.get("run") for step in job["steps"]]
 
 
 def test_a_push_or_pull_request_runs_the_mutants_once():

@@ -35,6 +35,7 @@ GRID = ("tests/test_grid.py",)
 FILES = ("tests/test_files.py",)
 ORACLE = ("tests/test_oracle.py",)
 CLI = ("tests/test_cli.py",)
+RECORDS = ("tests/test_records.py",)
 
 
 class Mutant(NamedTuple):
@@ -99,6 +100,10 @@ MUTANTS = (
            "oracle_says != colorable", "False", CLI),
     Mutant("color-self-check-skipped", "cli.py", "_cmd_color",
            "not report.valid", "False", CLI),
+    Mutant("record-equal-across-classes", "errors.py", "__eq__",
+           "other.__class__ is self.__class__", "True", RECORDS),
+    Mutant("budget-default-node-limit-lower", "oracle.py", "__init__",
+           "10_000_000", "1_000_000", RECORDS),
 )
 
 EQUIVALENT: dict[str, str] = {}  # mutant name -> why no test can kill it
