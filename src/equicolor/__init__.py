@@ -13,16 +13,16 @@ submodule imports it (PEP 562).
 
 from importlib import import_module
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 _EXPORTS = {
     "closed_forms": "GammaResult Params ThresholdCase ThresholdResult Trichotomy ceil_div"
     " equ_bound gamma kronecker_colorable kronecker_verdict multipartite_colorable"
-    " multipartite_verdict theta_balanced theta_min threshold_kronecker threshold_multipartite",
-    "construct": "color_kronecker color_multipartite split_sizes",
+    " multipartite_verdict theta_balanced threshold_kronecker threshold_multipartite",
+    "construct": "color_kronecker color_multipartite",
     "errors": "BudgetExceededError ColoringFileError EquicolorError GridBoundsError"
-    " InfeasibleWindowError InternalCheckError NotColorableError ParameterDomainError",
-    "files": "format_coloring parse_coloring read_coloring write_coloring",
+    " InternalCheckError NotColorableError ParameterDomainError",
+    "files": "format_coloring parse_coloring",
     "grid": "Coloring VerificationReport Violation ViolationKind verify",
     "oracle": "DEFAULT_BUDGET OracleBudget oracle_kronecker_colorable"
     " oracle_multipartite_colorable oracle_threshold",

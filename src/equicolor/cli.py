@@ -176,7 +176,7 @@ def _threshold_fields(p: Params, family: str) -> dict[str, Any]:
     else:
         g = cf.gamma(q)
         theta = cf.theta_balanced(q.n, q.r)
-        fields.update(value=cf.threshold_at(q, theta), theta=theta)
+        fields.update(value=q.m * cf.ceil_div(q.n, theta + q.r), theta=theta)
     fields.update(gamma=g.value, trichotomy=g.trichotomy.value, residue=g.residue)
     if q is not p:
         fields["note"] = "factors swapped to m <= n"
@@ -236,7 +236,7 @@ def _cmd_decide(args: argparse.Namespace) -> _Answer:
 
 def _cmd_color(args: argparse.Namespace) -> _Answer:
     from .construct import color_kronecker
-    from .files import format_coloring, write_coloring
+    from .files import format_coloring
     from .grid import verify
 
     p = Params(args.m, args.n, args.r)
@@ -253,6 +253,7 @@ def _cmd_color(args: argparse.Namespace) -> _Answer:
         )
 
     note = "factors swapped to m <= n" if q is not p else None
+    text = format_coloring(coloring)
     result: dict[str, Any] = {
         "m": coloring.m,
         "n": coloring.n,
@@ -260,16 +261,15 @@ def _cmd_color(args: argparse.Namespace) -> _Answer:
         "sizes": coloring.sizes(),
         "valid": True,
         "out": args.out,
-        "coloring": None,
+        "coloring": text if args.out is None else None,
         "note": note,
     }
     if args.out is not None:
         try:
-            write_coloring(args.out, coloring)
+            with open(args.out, "wb") as stream:
+                stream.write(text.encode("ascii"))
         except OSError as exc:
             raise ParameterDomainError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        result["coloring"] = format_coloring(coloring)
     return result, None
 
 

@@ -36,8 +36,9 @@ division.  The derived quantities:
   n // (theta+1) < ceil(n / (theta+r)).  The multipartite threshold is
   m * ceil(n / (theta_balanced + r)): below it some class count splits a
   part too unevenly, at or above it every count works.
-* ``theta_min(m, n, r)`` adds the cap m * ceil(n / (theta+r)) <= gamma to
-  the same scan; it feeds the product threshold's generic branch.
+* theta_min, scanned inside ``threshold_kronecker``, adds the cap
+  m * ceil(n / (theta+r)) <= gamma to the same test; it feeds the product
+  threshold's generic branch.
 
 Membership for a single k (rather than the threshold) is decided by
 ``kronecker_colorable``: k is good iff k >= gamma or K_{m(n)} is
@@ -185,20 +186,6 @@ def theta_balanced(n: int, r: int) -> int:
     return _least_balanced(n, r, 1)
 
 
-def theta_min(p: Params) -> int:
-    """Least theta >= 1 passing the theta_balanced test and the gamma cap.
-
-    The extra requirement is m * ceil(n / (theta+r)) <= gamma(p): the class
-    count the scan would propose must not overshoot the always-achievable
-    bound.  Requires 2 <= m <= n.  The cap holds exactly from
-    theta = ceil(n / (gamma // m)) - r on, so the balanced scan starts
-    there (or at 1); it ends by theta = n, where the cap reads m <= gamma.
-    """
-    _require_canonical(p, "theta_min")
-    start = ceil_div(p.n, gamma(p).value // p.m) - p.r
-    return _least_balanced(p.n, p.r, max(1, start))
-
-
 # ============================================================
 # Thresholds
 # ============================================================
@@ -232,16 +219,7 @@ def threshold_multipartite(p: Params) -> int:
     """
     if p.m < 2:
         raise ParameterDomainError(f"threshold_multipartite requires m >= 2, got m={p.m}")
-    return threshold_at(p, theta_balanced(p.n, p.r))
-
-
-def threshold_at(p: Params, theta: int) -> int:
-    """The threshold formula m*ceil(n/(theta+r)) at a given theta.
-
-    Both thresholds take this value at their theta (theta_balanced for
-    K_{m(n)}, theta_min for the product's otherwise branch).
-    """
-    return p.m * ceil_div(p.n, theta + p.r)
+    return p.m * ceil_div(p.n, theta_balanced(p.n, p.r) + p.r)
 
 
 def threshold_kronecker(p: Params) -> ThresholdResult:
@@ -259,8 +237,12 @@ def threshold_kronecker(p: Params) -> ThresholdResult:
     g = gamma(p)
     if g.trichotomy is Trichotomy.LESS and not multipartite_verdict(p, g.value - 1)[0]:
         return ThresholdResult(g.value, ThresholdCase.RESIDUE_SMALL_GAP, None, g)
-    theta = theta_min(p)
-    return ThresholdResult(threshold_at(p, theta), ThresholdCase.OTHERWISE, theta, g)
+    # theta_min: the least theta >= 1 passing the theta_balanced test with
+    # m * ceil(n / (theta+r)) <= gamma.  That cap holds exactly from
+    # theta = ceil(n / (gamma // m)) - r on, so the balanced scan starts
+    # there (or at 1); it ends by theta = n, where the cap reads m <= gamma.
+    theta = _least_balanced(p.n, p.r, max(1, ceil_div(p.n, g.value // p.m) - p.r))
+    return ThresholdResult(p.m * ceil_div(p.n, theta + p.r), ThresholdCase.OTHERWISE, theta, g)
 
 
 # ============================================================

@@ -45,53 +45,8 @@ from .closed_forms import (
     kronecker_verdict,
     multipartite_verdict,
 )
-from .errors import (
-    InfeasibleWindowError,
-    InternalCheckError,
-    NotColorableError,
-    ParameterDomainError,
-)
+from .errors import InternalCheckError, NotColorableError
 from .grid import Cell, Coloring
-
-# ============================================================
-# Size-window splitting
-# ============================================================
-
-
-def split_sizes(total: int, count: int, lo: int, r: int) -> list[int]:
-    """Split ``total`` items into ``count`` sizes within [lo, lo+r].
-
-    The split is near-even and non-increasing: divmod(total, count) gives
-    the base size, and the remainder goes to the lowest-indexed entries.
-    A near-even split automatically lands inside the window whenever any
-    split does, so feasibility is exactly the two-sided bound below.
-
-    Args:
-        total: number of items, >= 0.
-        count: number of sizes to emit, >= 1.
-        lo: smallest allowed size, >= 0.
-        r: window width, >= 0 (r = 0 forces an exact split).
-
-    Returns:
-        A non-increasing list of ``count`` sizes summing to ``total``.
-
-    Raises:
-        InfeasibleWindowError: iff not lo*count <= total <= (lo+r)*count.
-    """
-    if total < 0 or count < 1 or lo < 0 or r < 0:
-        raise ParameterDomainError(
-            f"split_sizes domain: total>=0, count>=1, lo>=0, r>=0; "
-            f"got total={total} count={count} lo={lo} r={r}"
-        )
-    if not (lo * count <= total <= (lo + r) * count):
-        raise InfeasibleWindowError(
-            f"cannot split {total} into {count} sizes within "
-            f"[{lo}, {lo + r}]: need {lo * count} <= {total} <= "
-            f"{(lo + r) * count}"
-        )
-    base, extra = divmod(total, count)
-    return [base + 1] * extra + [base] * (count - extra)
-
 
 # ============================================================
 # Complete multipartite graphs
@@ -245,7 +200,8 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
 
     # Column side: class j takes column j's cells in the next rows of the
     # donor walk; ``walk`` is the 0-based row the walk takes next.
-    kept = split_sizes(m * n - cells, m, 0, n)
+    keep, longer = divmod(m * n - cells, m)  # the first ``longer`` rows keep one more
+    kept = [keep + 1] * longer + [keep] * (m - longer)
     free = bytearray(b"\1") * (m * n)  # 1 where a row keeps its cell
     classes: list[tuple[Cell, ...]] = []
     spare = cells - col_cls * b
@@ -284,9 +240,12 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
     for (x, c), group in groupby(zip(kept, row_cls)):
         if not c:  # c = 0 keeps no cell
             continue
-        sizes, times = split_sizes(x, c, b, r), len(list(group))
-        extra = sizes.count(sizes[0])  # a near-even split is at most two runs
-        runs = [(sizes[0], extra), (sizes[-1], len(sizes) - extra)] * times
-        for size, many in [(sizes[0], extra * times)] if extra == len(sizes) else runs:
+        # The near-even cut needs no window check: every plan leaves each
+        # row ceil(x/w) <= x // b, c starts at ceil(x/w) and grows only
+        # while below x // b, so c*b <= x <= c*w.
+        base, extra = divmod(x, c)
+        times = len(list(group))
+        runs = [(base + 1, extra), (base, c - extra)] * times if extra else [(base, c * times)]
+        for size, many in runs:
             classes += islice(zip(*[stream] * size), many) if size else repeat((), many)
     return Coloring(m, n, tuple(classes))

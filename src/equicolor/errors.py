@@ -73,14 +73,6 @@ class GridBoundsError(EquicolorError, ValueError):
     """
 
 
-class InfeasibleWindowError(EquicolorError, ValueError):
-    """A requested size-window split admits no solution.
-
-    Raised by :func:`equicolor.construct.split_sizes` exactly when
-    ``lo * count <= total <= (lo + r) * count`` fails.
-    """
-
-
 class NotColorableError(EquicolorError):
     """A witness coloring was requested for an instance that has none.
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import re
 from itertools import chain, groupby, islice, repeat
-from pathlib import Path
 
 from .errors import ColoringFileError, InternalCheckError
 from .grid import Cell, Coloring
@@ -218,11 +217,6 @@ def _number(token: str, line_no: int) -> int:
         raise ColoringFileError(f"number of {len(token)} digits is too long", line_no) from None
 
 
-def write_coloring(path: str | Path, coloring: Coloring) -> None:
-    """Write the coloring to ``path`` in canonical form (LF endings)."""
-    Path(path).write_bytes(format_coloring(coloring).encode("ascii"))
-
-
 def decode_ascii(data: bytes) -> str:
     """``data`` as ASCII text, or a file error at the line of its first
     non-ASCII byte."""
@@ -232,9 +226,3 @@ def decode_ascii(data: bytes) -> str:
         line, reason = data.count(b"\n", 0, exc.start) + 1, str(exc)
     # Raised outside the handler, so the error holds no reference to data.
     raise ColoringFileError(f"file is not ASCII: {reason}", line)
-
-
-def read_coloring(path: str | Path) -> Coloring:
-    """Read and parse a coloring file, with no newline translation (CRLF
-    fails at line 1)."""
-    return parse_coloring(decode_ascii(Path(path).read_bytes()))

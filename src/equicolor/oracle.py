@@ -265,16 +265,29 @@ def oracle_multipartite_colorable(
 
 def _count_multisets(total: int, parts: int, cap: int):
     """Yield non-increasing tuples of ``parts`` positive ints, each at most
-    ``cap``, summing to ``total``, most balanced first."""
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    first_lo = ceil_div(total, parts)
-    first_hi = min(cap, total - (parts - 1))
-    for first in range(first_lo, first_hi + 1):
-        for rest in _count_multisets(total - first, parts - 1, first):
-            yield (first,) + rest
+    ``cap``, summing to ``total``, most balanced first: lexicographically,
+    each entry from ceil(rest / parts left) up to the least of the entry
+    before it (or ``cap``) and what leaves 1 for each later part.  One
+    loop with an explicit prefix, as a recursion per part overflowed
+    Python's stack from parts = 997 on.
+    """
+    prefix: list[int] = []
+    rest, entry = total, ceil_div(total, parts)  # the next entry to try
+    while True:
+        left = parts - len(prefix)
+        if 0 < entry <= min(prefix[-1] if prefix else cap, rest - left + 1):
+            if left == 1:
+                yield (*prefix, entry)
+            else:
+                prefix.append(entry)
+                rest -= entry
+                entry = ceil_div(rest, left - 1)
+                continue
+        if not prefix:
+            return
+        entry = prefix.pop()  # the last entry, raised by one
+        rest += entry
+        entry += 1
 
 
 # ============================================================

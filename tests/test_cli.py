@@ -32,7 +32,7 @@ from equicolor.cli import (
     SCHEMA_VERSION,
     main,
 )
-from equicolor.files import parse_coloring, write_coloring
+from equicolor.files import format_coloring, parse_coloring
 from equicolor.grid import Coloring, verify
 
 # One fixed schema covering every envelope the CLI emits at
@@ -321,6 +321,18 @@ def test_decide_with_oracle_concurrence(capsys):
     )
     assert env["result"]["colorable"] is False
     assert env["result"]["oracle"] == {"colorable": False, "agrees": True}
+
+
+def test_decide_multipartite_oracle_at_a_thousand_parts(capsys):
+    # k = 1,000 is the default max_k; the oracle's count enumeration once
+    # recursed per part, and this call died with a RecursionError.
+    env = run_json(
+        ["decide", "-m", "1000", "-n", "2", "-r", "1", "-k", "1000",
+         "--family", "multipartite", "--oracle"],
+        capsys,
+    )
+    assert env["result"]["colorable"] is True
+    assert env["result"]["oracle"] == {"colorable": True, "agrees": True}
 
 
 def test_decide_multipartite_family_is_not_canonicalized(capsys):
@@ -675,16 +687,13 @@ def test_color_witness_off_the_grid_exits_5_with_no_output(capsys, monkeypatch):
 def test_color_infeasible_window_in_the_realizer_exits_5_with_no_output(
     capsys, monkeypatch
 ):
-    real = construct.split_sizes
-
-    def infeasible(total, count, lo, r):
-        return real(total, count, total + 1, r)
-
-    monkeypatch.setattr(construct, "split_sizes", infeasible)
-    captured = run(["color", "-m", "3", "-n", "4", "-r", "1", "-k", "4"], capsys,
+    # A scatter plan (n < k <= m*n) with more column classes than columns.
+    monkeypatch.setattr(construct, "_scatter_layout", lambda p, k: (1, 5, p.n + 1))
+    captured = run(["color", "-m", "3", "-n", "4", "-r", "1", "-k", "6"], capsys,
                    expect=EXIT_INTERNAL)
     assert captured.out == ""
-    assert captured.err.startswith("internal invariant falsified: cannot split ")
+    assert captured.err == ("internal invariant falsified: plan b=1 C=5 G=5 out of "
+                            "range for Params(m=3, n=4, r=1), k=6\n")
 
 
 # ------------------------------------------------------------
@@ -913,7 +922,7 @@ _CLOSED_FORMS_ONLY = ["equicolor", "equicolor.cli", "equicolor.closed_forms", "e
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, extra, tmp_path):
     path = tmp_path / "witness.ec"
-    write_coloring(path, construct.color_kronecker(cf.Params(3, 7, 2), 5))
+    path.write_bytes(format_coloring(construct.color_kronecker(cf.Params(3, 7, 2), 5)).encode())
     argv = [str(path) if a == "{file}" else a for a in argv]
     src = str(Path(cli.__file__).resolve().parent.parent)
     run = subprocess.run(

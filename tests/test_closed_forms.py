@@ -5,12 +5,14 @@ brute-force oracles (see test_oracle.py and test_acceptance.py); the
 oracle suite re-derives them independently on every run.
 """
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicolor import closed_forms
 from equicolor.closed_forms import (
     Params,
     ThresholdCase,
@@ -23,7 +25,6 @@ from equicolor.closed_forms import (
     multipartite_colorable,
     multipartite_verdict,
     theta_balanced,
-    theta_min,
     threshold_kronecker,
     threshold_multipartite,
 )
@@ -136,30 +137,62 @@ def test_theta_balanced_is_least_qualifying(n, r):
         assert not (n // (smaller + 1) < ceil_div(n, smaller + r))
 
 
+def reference_theta_min(p):
+    """theta_min by its definition, scanned from 1: the least theta >= 1
+    passing the theta_balanced test with m * ceil(n / (theta+r)) <= gamma."""
+    cap = gamma(p).value
+    return next(
+        theta
+        for theta in itertools.count(1)
+        if p.n // (theta + 1) < ceil_div(p.n, theta + p.r)
+        and p.m * ceil_div(p.n, theta + p.r) <= cap
+    )
+
+
 def test_theta_min_frozen_values():
-    assert theta_min(Params(2, 2, 1)) == 2
-    assert theta_min(Params(2, 10, 2)) == 5
-    assert theta_min(Params(3, 3, 1)) == 3
+    # All three take the otherwise branch, which reports theta_min.
+    assert threshold_kronecker(Params(2, 2, 1)).theta == 2
+    assert threshold_kronecker(Params(2, 10, 2)).theta == 5
+    assert threshold_kronecker(Params(3, 3, 1)).theta == 3
 
 
 def test_theta_min_requires_canonical_orientation():
-    with pytest.raises(ParameterDomainError):
-        theta_min(Params(5, 3, 1))
-    with pytest.raises(ParameterDomainError):
-        theta_min(Params(1, 3, 1))
+    with pytest.raises(ParameterDomainError, match="threshold_kronecker requires the canon"):
+        threshold_kronecker(Params(5, 3, 1))
+    with pytest.raises(ParameterDomainError, match="threshold_kronecker requires m >= 2"):
+        threshold_kronecker(Params(1, 3, 1))
 
 
-@given(m=st.integers(2, 20), nd=st.integers(0, 80), r=st.integers(1, 6))
-def test_theta_min_at_least_theta_balanced_and_capped(m, nd, r):
-    n = m + nd
-    p = Params(m, n, r)
-    theta = theta_min(p)
-    assert theta >= theta_balanced(n, r)
-    assert n // (theta + 1) < ceil_div(n, theta + r)
-    assert m * ceil_div(n, theta + r) <= gamma(p).value
-    for smaller in range(1, theta):
-        balanced = n // (smaller + 1) < ceil_div(n, smaller + r)
-        assert not (balanced and m * ceil_div(n, smaller + r) <= gamma(p).value)
+def test_theta_min_at_least_theta_balanced_and_capped():
+    # Every triple of a small grid, so a scan that starts one step late
+    # is caught wherever the gamma cap's first theta already balances.
+    otherwise = 0
+    for m in range(2, 21):
+        for n in range(m, m + 81):
+            for r in range(1, 7):
+                p = Params(m, n, r)
+                theta = reference_theta_min(p)
+                assert theta >= theta_balanced(n, r)
+                t = threshold_kronecker(p)
+                if t.case is ThresholdCase.OTHERWISE:
+                    assert t.theta == theta, p
+                    otherwise += 1
+    assert otherwise > 5_000
+
+
+def test_threshold_kronecker_computes_gamma_once(monkeypatch):
+    real = closed_forms.gamma
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(closed_forms, "gamma", counted)
+    for p in (Params(2, 10, 2), Params(3, 7, 2)):  # the otherwise and residue branches
+        calls.clear()
+        threshold_kronecker(p)
+        assert calls == [p]
 
 
 # ------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Unit tests for split_sizes and the witness constructors."""
+"""Unit tests for the witness constructors, and for the near-even split
+that their per-cell reference realizer uses."""
 
 import gc
 import hashlib
@@ -22,14 +23,8 @@ from equicolor.construct import (
     _scatter_layout,
     color_kronecker,
     color_multipartite,
-    split_sizes,
 )
-from equicolor.errors import (
-    InfeasibleWindowError,
-    InternalCheckError,
-    NotColorableError,
-    ParameterDomainError,
-)
+from equicolor.errors import InternalCheckError, NotColorableError, ParameterDomainError
 from equicolor.files import format_coloring
 from equicolor.grid import Coloring, verify
 
@@ -39,31 +34,32 @@ def single_row_or_column(cls):
 
 
 # ------------------------------------------------------------
-# split_sizes
+# the near-even split
 # ------------------------------------------------------------
+
+
+def split_sizes(total, count, lo, r):
+    """``total`` cut near-evenly into ``count`` sizes, the larger first,
+    each checked inside [lo, lo + r]: the reference realizer's split.
+    construct._realize cuts with divmod alone, as its plans keep
+    lo*count <= total <= (lo + r)*count, where the cut always fits."""
+    base, extra = divmod(total, count)
+    sizes = [base + 1] * extra + [base] * (count - extra)
+    if not all(lo <= size <= lo + r for size in sizes):
+        raise ValueError(f"{sizes} leaves the window [{lo}, {lo + r}]")
+    return sizes
 
 
 def test_split_sizes_examples():
     assert split_sizes(10, 3, 3, 1) == [4, 3, 3]
     assert split_sizes(6, 3, 2, 0) == [2, 2, 2]
-    with pytest.raises(InfeasibleWindowError):
+    with pytest.raises(ValueError, match="leaves the window"):
         split_sizes(13, 3, 3, 1)  # 13 > (3+1)*3
 
 
-def test_split_sizes_domain_errors():
-    with pytest.raises(ParameterDomainError):
-        split_sizes(-1, 3, 1, 1)
-    with pytest.raises(ParameterDomainError):
-        split_sizes(5, 0, 1, 1)
-    with pytest.raises(ParameterDomainError):
-        split_sizes(5, 2, -1, 1)
-    with pytest.raises(ParameterDomainError):
-        split_sizes(5, 2, 1, -1)
-
-
 def test_split_sizes_feasibility_iff_exhaustive():
-    # Success must coincide exactly with lo*count <= total <= (lo+r)*count,
-    # both directions, over a dense small box.
+    # The near-even cut fits the window exactly when any cut does, that
+    # is when lo*count <= total <= (lo+r)*count, over a dense small box.
     for lo in range(0, 6):
         for count in range(1, 9):
             for r in range(0, 5):
@@ -73,11 +69,10 @@ def test_split_sizes_feasibility_iff_exhaustive():
                         sizes = split_sizes(total, count, lo, r)
                         assert len(sizes) == count
                         assert sum(sizes) == total
-                        assert all(lo <= s <= lo + r for s in sizes)
                         assert sizes == sorted(sizes, reverse=True)
                         assert max(sizes) - min(sizes) <= 1  # near-even
                     else:
-                        with pytest.raises(InfeasibleWindowError):
+                        with pytest.raises(ValueError):
                             split_sizes(total, count, lo, r)
 
 

@@ -197,6 +197,39 @@ def test_oracle_multipartite_single_part():
     assert oracle_multipartite_colorable(Params(1, 4, 1), 1) is True
 
 
+def test_oracle_multipartite_a_thousand_parts():
+    # k = 1,000 is the default max_k.  The count enumeration once recursed
+    # per part and overflowed Python's stack from m = 997 on.
+    assert oracle_multipartite_colorable(Params(1000, 2, 1), 1000) is True
+    # One part of 3 split in two (sizes 1 and 2) next to parts of 3.
+    assert oracle_multipartite_colorable(Params(999, 3, 1), 1000) is False
+    assert multipartite_colorable(Params(999, 3, 1), 1000) is False
+
+
+def reference_count_multisets(total, parts, cap):
+    """The recursion, one call per part, that the oracle's loop replaced."""
+    if parts == 1:
+        if 1 <= total <= cap:
+            yield (total,)
+        return
+    for first in range(-(-total // parts), min(cap, total - (parts - 1)) + 1):
+        for rest in reference_count_multisets(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_count_multisets_keeps_the_recursive_order():
+    # The same tuples in the same order, so node counts and budget trips
+    # are unchanged.
+    seen = 0
+    for total in range(25):
+        for parts in range(1, 12):
+            for cap in range(26):
+                got = list(oracle_module._count_multisets(total, parts, cap))
+                assert got == list(reference_count_multisets(total, parts, cap))
+                seen += len(got)
+    assert seen > 10_000
+
+
 # ------------------------------------------------------------
 # thresholds
 # ------------------------------------------------------------

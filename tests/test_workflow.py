@@ -53,6 +53,17 @@ def test_a_push_or_pull_request_runs_the_mutants_once():
                         "run": "python3 tools/mutate.py"}]
 
 
+def test_the_quick_job_writes_a_witness_file_and_verifies_it():
+    # Through the installed console script on both legs: the only run of
+    # color --out's file write on 3.10.
+    quick = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())["jobs"]["quick"]
+    steps = [step for step in quick["steps"] if "run" in step]
+    runs = [step["run"] for step in steps]
+    at = runs.index("equicolor color -m 3 -n 7 -r 2 -k 5 --out w.txt")
+    assert runs[at + 1] == 'equicolor verify -r 2 w.txt | grep -x "valid: true"'
+    assert "if" not in steps[at] and "if" not in steps[at + 1]
+
+
 def test_every_mutant_applies_at_exactly_one_site():
     # The mutants run on one leg of the quick job only, so a mutant a
     # source edit has orphaned is caught here on every leg.

@@ -50,6 +50,9 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("residue-test-at-gamma", "closed_forms.py", "threshold_kronecker",
            "g.value - 1", "g.value", CLOSED_FORMS),
+    Mutant("theta-min-starts-one-late", "closed_forms.py", "threshold_kronecker",
+           "ceil_div(p.n, g.value // p.m) - p.r",
+           "ceil_div(p.n, g.value // p.m) - p.r + 1", CLOSED_FORMS),
     Mutant("gamma-test-strict", "closed_forms.py", "kronecker_verdict",
            "k >= gamma(p).value", "k > gamma(p).value", CLOSED_FORMS),
     Mutant("orientation-unchecked", "closed_forms.py", "_require_canonical",
@@ -62,15 +65,15 @@ MUTANTS = (
            "n // (theta + 1) <= ceil_div(n, theta + r)", CLOSED_FORMS),
     Mutant("ceil-div-off-by-one", "closed_forms.py", "ceil_div",
            "-(-a // b)", "(a + b) // b", CLOSED_FORMS),
-    Mutant("split-remainder-last", "construct.py", "split_sizes",
-           "[base + 1] * extra + [base] * (count - extra)",
-           "[base] * (count - extra) + [base + 1] * extra", CONSTRUCT),
+    Mutant("split-remainder-last", "construct.py", "_realize",
+           "[keep + 1] * longer + [keep] * (m - longer)",
+           "[keep] * (m - longer) + [keep + 1] * longer", CONSTRUCT),
     Mutant("donor-walk-one-row-later", "construct.py", "_realize",
            "m - cells % m", "(m - cells % m + 1) % m", CONSTRUCT),
     Mutant("column-load-past-m", "construct.py", "_realize", "min(w, m)", "w", CONSTRUCT),
     Mutant("larger-run-last", "construct.py", "_realize",
-           "[(sizes[0], extra), (sizes[-1], len(sizes) - extra)]",
-           "[(sizes[-1], len(sizes) - extra), (sizes[0], extra)]", CONSTRUCT),
+           "[(base + 1, extra), (base, c - extra)]",
+           "[(base, c - extra), (base + 1, extra)]", CONSTRUCT),
     Mutant("short-rows-counted-full", "construct.py", "_scatter_layout",
            "ceil_div(y - 1, w)", "ceil_div(y, w)", CONSTRUCT),
     Mutant("least-column-classes-shifted", "construct.py", "_scatter_layout",
