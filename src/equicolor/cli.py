@@ -12,9 +12,9 @@ Exit codes: 0 success, 2 usage or parameter-domain error (including
 malformed coloring files), 3 oracle budget exceeded, 4 witness requested
 for an instance that is not colorable, 5 internal invariant falsified
 (e.g. a constructed coloring failing its own verifier, or a sweep row
-contradicting the threshold-equality guarantee; every other library
-error is such a fault too).  Only an oracle that disagrees with
-``decide``'s verdict exits 5 after its envelope is out.
+contradicting the threshold-equality guarantee; any other exception a
+command raises is such a fault too).  Only an oracle that disagrees
+with ``decide``'s verdict exits 5 after its envelope is out.
 
 Instances with m = 1 or n = 1 (and K_{1(n)}) are edgeless.  The library
 verdicts and the constructor handle them; only the closed-form thresholds
@@ -453,28 +453,30 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         result, failure = args.handler(args)
-        envelope = {
+    except Exception as exc:  # mapped to its exit code below
+        result, failure = None, exc
+    if result is not None:  # output errors, such as a closed pipe, propagate
+        _emit({
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "params": params,
             "result": result,
-        }
-        _emit(envelope, args.format)
-        if failure is not None:
-            raise failure
+        }, args.format)
+    if failure is None:
         return EXIT_OK
-    except (ParameterDomainError, ColoringFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if isinstance(failure, (ParameterDomainError, ColoringFileError)):
+        print(f"error: {failure}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"oracle budget exceeded: {exc}", file=sys.stderr)
+    if isinstance(failure, BudgetExceededError):
+        print(f"oracle budget exceeded: {failure}", file=sys.stderr)
         return EXIT_BUDGET
-    except NotColorableError as exc:
-        print(f"not colorable: {exc}", file=sys.stderr)
+    if isinstance(failure, NotColorableError):
+        print(f"not colorable: {failure}", file=sys.stderr)
         return EXIT_NOT_COLORABLE
-    except EquicolorError as exc:  # InternalCheckError, or any other fault
-        print(f"internal invariant falsified: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    if not isinstance(failure, EquicolorError):  # e.g. RecursionError: name it
+        failure = f"{type(failure).__name__}: {failure}"
+    print(f"internal invariant falsified: {failure}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -1,10 +1,12 @@
 """Explicit r-equitable colorings for K_{m(n)} and K_m x K_n.
 
-Every function either returns a coloring that passes
-:func:`equicolor.grid.verify` or raises :class:`NotColorableError`; there
-is no third outcome.  Constructions are deterministic: ties are broken
-lowest-index-first, so identical inputs always produce byte-identical
-colorings after serialization.
+Each public function returns a coloring that passes
+:func:`equicolor.grid.verify`, or raises :class:`NotColorableError` for a
+refused instance, :class:`ParameterDomainError` (from the verdict) for
+k < 1 or, in :func:`color_kronecker`, m > n, or :class:`InternalCheckError`
+when a self-check of :func:`_scatter_layout` or :func:`_realize` fails,
+which is a bug.  Constructions are deterministic: ties are broken
+lowest-index-first, so identical inputs give byte-identical files.
 
 Four plans, one realizer.  Every class lies inside one row or one column,
 and a witness is fixed by a plan (b, C, G): base class size b, C cells

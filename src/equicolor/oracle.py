@@ -6,11 +6,11 @@ independently:
 
 * :func:`oracle_kronecker_colorable` backtracks over the grid cells in
   row-major order.  One loop tries each cell in every open class, then
-  in the next unopened one, checking independence pairwise against the
-  adjacency rule.  Only its row-boundary prune reasons about rows and
-  columns: it rests on the fact that an independent set lies in one row
-  or one column, so once a row is finished, a class not confined to one
-  column never grows again.
+  in the next unopened one.  Cells that differ in row and in column are
+  adjacent, so an independent set lies in one row or one column: a class
+  keeps only the row and the column all its members share (0 once they
+  differ), and a cell may join it when it is empty or shares either.
+  The row-boundary prune below rests on the same fact.
 * :func:`oracle_multipartite_colorable` searches per-part color counts
   and a common size-window base for K_{m(n)}.  It enumerates candidate
   count distributions explicitly instead of evaluating the closed-form
@@ -29,12 +29,12 @@ coloring has max >= ceil(mn/k) and min <= floor(mn/k), so every final
 size lies in that window), the search tracks the running maximum class
 size, a lower bound on cells still needed to lift every class to the
 smallest permissible final size, and (in the default row-major order) the
-fact that a class with cells in two columns can never grow once its row
-is finished.  Symmetry breaking is the canonical one: a cell may open
-class c only when classes 1..c-1 are already non-empty, so the placement
-loop ends with the single next class.  None of this depends on which branch
-is explored first, so the verdict is independent of the cell enumeration
-order; the test suite checks that under row and column relabelings.
+row-boundary prune: a class not confined to one column never grows once
+its row is finished.  Symmetry breaking is the canonical one: a cell may
+open class c only when classes 1..c-1 are already non-empty, so the
+placement loop ends with the single next class.  None of this depends on
+which branch is explored first, so neither does the verdict depend on the
+cell order; the test suite checks that under row and column relabelings.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def _search_kronecker(
     order: list[tuple[int, int]] | None,
 ) -> bool:
     """Core backtracking search.  One loop places each cell: it joins each
-    open class in turn and last, while fewer than k are open, a new one.
+    open class whose members all share its row (``fixrow``) or its column
+    (``fixcol``) in turn and last, while fewer than k are open, a new one.
 
     ``order`` overrides the cell enumeration order (used by tests to
     check invariance under relabelings); None means row-major, which
@@ -128,7 +129,7 @@ def _search_kronecker(
         order = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
 
     sizes = [0] * k
-    members: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    fixrow = [0] * k  # shared row of all members, 0 once mixed
     fixcol = [0] * k  # shared column of all members, 0 once mixed
     nodes = 0
 
@@ -169,21 +170,13 @@ def _search_kronecker(
                 return False
 
         for ci in range(opened + (opened < k)):
-            sz = sizes[ci]
-            if sz >= hi:
-                continue
-            ok = True
-            for wi, wj in members[ci]:
-                if wi != vi and wj != vj:  # adjacency rule
-                    ok = False
-                    break
-            if not ok:
+            sz, old_fr, old_fc = sizes[ci], fixrow[ci], fixcol[ci]
+            if sz >= hi or (sz and old_fr != vi and old_fc != vj):
                 continue
             now_open = opened + (ci == opened)
-            old_fc = fixcol[ci]
+            fixrow[ci] = vi if sz == 0 or old_fr == vi else 0
             fixcol[ci] = vj if sz == 0 or old_fc == vj else 0
             sizes[ci] = sz + 1
-            members[ci].append((vi, vj))
             new_max, new_lo = cur_max, lo_dyn
             new_def = deficit - (1 if sz < lo_dyn else 0)
             if sz >= cur_max:
@@ -196,9 +189,8 @@ def _search_kronecker(
                         if gap > 0:
                             new_def += gap
             hit = extend(pos + 1, now_open, new_max, new_lo, new_def)
-            members[ci].pop()
             sizes[ci] = sz
-            fixcol[ci] = old_fc
+            fixrow[ci], fixcol[ci] = old_fr, old_fc
             if hit:
                 return True
         return False

@@ -632,6 +632,28 @@ def test_decide_oracle_disagreement_prints_envelope_then_exits_5(monkeypatch):
     assert envelope["result"]["oracle"] == {"colorable": True, "agrees": False}
 
 
+def test_any_other_exception_in_a_command_exits_5_with_no_output(capsys, monkeypatch):
+    # Not a library error, so Python would exit 1 with a traceback.
+    def broken(p, k, budget):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(oracle, "oracle_kronecker_colorable", broken)
+    captured = run(["decide", "-m", "3", "-n", "7", "-r", "2", "-k", "4", "--oracle"],
+                   capsys, expect=EXIT_INTERNAL)
+    assert captured.out == ""
+    assert captured.err == "internal invariant falsified: ValueError: boom\n"
+
+
+def test_an_error_writing_the_envelope_is_not_mapped(monkeypatch):
+    # A closed pipe under `| head` is the reader's doing, not a fault.
+    def closed(envelope, fmt):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "_emit", closed)
+    with pytest.raises(BrokenPipeError):
+        main(["threshold", "--family", "kronecker", "-m", "3", "-n", "7", "-r", "2"])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_equality_contradiction_exits_5_with_no_output(fmt, capsys, monkeypatch):
     real = cli._table_row
@@ -701,7 +723,7 @@ def test_color_infeasible_window_in_the_realizer_exits_5_with_no_output(
 # ------------------------------------------------------------
 
 
-class _Reached(Exception):
+class _Reached(BaseException):  # not an Exception, so main does not map it
     pass
 
 

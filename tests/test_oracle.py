@@ -14,6 +14,7 @@ import pytest
 from equicolor import oracle as oracle_module
 from equicolor.closed_forms import (
     Params,
+    ceil_div,
     kronecker_colorable,
     kronecker_verdict,
     multipartite_colorable,
@@ -126,6 +127,99 @@ def test_oracle_kronecker_node_counts_are_frozen(m, n, r, k, verdict, nodes):
     with pytest.raises(BudgetExceededError) as exc:
         _search_kronecker(m, n, r, k, nodes - 1, None)
     assert exc.value.limit_name == "node_limit"
+
+
+def reference_search_kronecker(m, n, r, k, order):
+    """The vertex search with each class's member list in place of its
+    shared row: a cell joins a class only after a pairwise scan of the
+    members against the adjacency rule.  Otherwise the same search, prune
+    for prune and in the same class order.  Returns (verdict, nodes)."""
+    total = m * n
+    lo = max(0, ceil_div(total, k) - r)
+    hi = total // k + r
+    row_major = order is None
+    if order is None:
+        order = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    sizes = [0] * k
+    members = [[] for _ in range(k)]
+    fixcol = [0] * k
+    nodes = 0
+
+    def extend(pos, opened, cur_max, lo_dyn, deficit):
+        nonlocal nodes
+        nodes += 1
+        if pos == total:
+            return cur_max - min(sizes) <= r
+        remaining = total - pos
+        if deficit > remaining:
+            return False
+        vi, vj = order[pos]
+        if row_major and vj == 1 and vi > 1:
+            avail = m - vi + 1
+            capacity = (k - opened) * hi
+            for ci in range(opened):
+                sz = sizes[ci]
+                pot = avail if fixcol[ci] else 0
+                if sz + pot < lo_dyn:
+                    return False
+                room = hi - sz
+                capacity += room if room < pot else pot
+            if capacity < remaining:
+                return False
+        for ci in range(opened + (opened < k)):
+            sz = sizes[ci]
+            if sz >= hi:
+                continue
+            if any(wi != vi and wj != vj for wi, wj in members[ci]):
+                continue
+            now_open = opened + (ci == opened)
+            old_fc = fixcol[ci]
+            fixcol[ci] = vj if sz == 0 or old_fc == vj else 0
+            sizes[ci] = sz + 1
+            members[ci].append((vi, vj))
+            new_max, new_lo = cur_max, lo_dyn
+            new_def = deficit - (1 if sz < lo_dyn else 0)
+            if sz >= cur_max:
+                new_max = sz + 1
+                new_lo = max(lo, new_max - r)
+                if new_lo != lo_dyn:
+                    new_def = (k - now_open) * new_lo
+                    for cj in range(now_open):
+                        gap = new_lo - sizes[cj]
+                        if gap > 0:
+                            new_def += gap
+            hit = extend(pos + 1, now_open, new_max, new_lo, new_def)
+            members[ci].pop()
+            sizes[ci] = sz
+            fixcol[ci] = old_fc
+            if hit:
+                return True
+        return False
+
+    return extend(0, 0, 0, lo, k * lo), nodes
+
+
+def test_search_matches_the_member_list_reference_node_for_node():
+    # Same verdict and exactly the same node count, in row-major order
+    # (with the row-boundary prune) and in one relabelled order (without).
+    rng = random.Random(20261020)
+    grids = [(m, n) for m in range(2, 5) for n in range(m, 7) if m * n <= 12]
+    assert grids == [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
+    checked = 0
+    for m, n in grids:
+        rows, cols = list(range(1, m + 1)), list(range(1, n + 1))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        relabelled = [(i, j) for i in rows for j in cols]
+        for r in range(1, 4):
+            for k in range(1, m * n + 2):
+                for order in (None, relabelled):
+                    verdict, nodes = reference_search_kronecker(m, n, r, k, order)
+                    assert _search_kronecker(m, n, r, k, nodes, order) is verdict
+                    with pytest.raises(BudgetExceededError):
+                        _search_kronecker(m, n, r, k, nodes - 1, order)
+                    checked += 1
+    assert checked == 2 * 3 * sum(m * n + 1 for m, n in grids)  # 408
 
 
 def test_oracle_imports_only_params_and_ceil_div_from_closed_forms():

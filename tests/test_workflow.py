@@ -64,6 +64,13 @@ def test_the_quick_job_writes_a_witness_file_and_verifies_it():
     assert "if" not in steps[at] and "if" not in steps[at + 1]
 
 
+def test_the_quick_job_runs_the_vertex_oracle_through_the_console_script():
+    # On both legs, and it checks README's `decide --oracle` example.
+    quick = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())["jobs"]["quick"]
+    step = {"run": 'equicolor decide -m 3 -n 7 -r 2 -k 4 --oracle | grep -x "oracle.agrees: true"'}
+    assert step in quick["steps"]
+
+
 def test_every_mutant_applies_at_exactly_one_site():
     # The mutants run on one leg of the quick job only, so a mutant a
     # source edit has orphaned is caught here on every leg.

@@ -97,6 +97,12 @@ MUTANTS = (
            "sz < lo_dyn", "sz <= lo_dyn", ORACLE),
     Mutant("capacity-prune-loose", "oracle.py", "extend",
            "capacity < remaining", "capacity < remaining - 1", ORACLE),
+    Mutant("join-needs-row-and-column", "oracle.py", "extend",
+           "sz and old_fr != vi and old_fc != vj",
+           "sz and (old_fr != vi or old_fc != vj)", ORACLE),
+    Mutant("join-test-on-empty-class", "oracle.py", "extend",
+           "sz and old_fr != vi and old_fc != vj",
+           "old_fr != vi and old_fc != vj", ORACLE),
     Mutant("input-limit-exclusive", "cli.py", "_check_limit",
            "value > limit", "value >= limit", CLI),
     Mutant("oracle-disagreement-ignored", "cli.py", "_cmd_decide",
