@@ -22,8 +22,8 @@ then k against n and m*n, and :func:`_realize` places the classes:
   G = c: c = k - m*s' full columns, and every row split into s' classes
   of sizes in [m, m+r], where s = n // (m+r) and s' is s, or s+1 when
   the residue n mod (m+r) exceeds m.  This construction witnesses gamma.
-* n < k <= m*n: scatter, b = m*n // k, C scanned from 0, at most
-  (m-1)(b+1) steps, G <= k mod m computed; the scan
+* n < k <= m*n: scatter, b = m*n // k, and the least C with its
+  G <= k mod m solved in blocks of m cells, at most b + 1 of them;
   :func:`_scatter_layout` returns the plan.  Classes need not be
   contiguous - a class is any subset of one row or one column - and that
   freedom is essential: some instances (for example m=6, n=10, r=1,
@@ -122,17 +122,26 @@ def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
     """The n < k <= m*n plan (b, C, G): column classes fed by the rows.
 
     b = m*n // k, the largest min size any k-class partition allows, and
-    C is the first columnar cell total from 0 up (C = 0 is the pure
-    row-split layout) for which some G fits the column side and k - G the
-    row side.  :func:`_realize` gives each column class its own column
-    and any load of b to min(w, m) cells (w = b + r), so G <= n classes
-    carry C cells iff G*b <= C <= G*min(w, m).  A row keeping x cells
-    takes lo = ceil(x/w) to hi = x // b classes; m - e rows keep
-    y = n - C // m cells, the e = C mod m others y - 1, and [p_lo, p_hi]
-    sums their windows.  An empty window needs no test:
-    lo <= ceil(x/b) <= hi + 1 makes its lo - hi = 1, and lo and hi each
-    rise by 0 or 1 from x - 1 to x, so the other group's lo - hi >= 0.
-    Then p_lo > p_hi, and no G has k - p_hi <= G <= k - p_lo.
+    C is the least columnar cell total (C = 0 is the pure row-split
+    layout) for which some G fits the column side and k - G the row side.
+    :func:`_realize` gives each column class its own column and any load
+    of b to top = min(w, m) cells (w = b + r), so G <= n classes carry C
+    cells iff G*b <= C <= G*top.  A row keeping x cells takes
+    lo = ceil(x/w) to hi = x // b classes; m - e rows keep y = n - C // m
+    cells, the e = C mod m others y - 1, and [p_lo, p_hi] sums their
+    windows.  An empty window needs no test: lo <= ceil(x/b) <= hi + 1
+    makes its lo - hi = 1, and lo and hi each rise by 0 or 1 from x - 1
+    to x, so the other group's lo - hi >= 0.  Then p_lo > p_hi, and no G
+    has k - p_hi <= G <= k - p_lo.  So C is accepted iff p_lo <= p_hi,
+    b*(k - p_hi) <= C <= top*(k - p_lo) and ceil(C/top) <= C // b, with
+    G = max(ceil(C/top), k - p_hi).
+
+    Block solve: in the block q = C // m, y is fixed, p_lo =
+    m*ceil(y/w) - e*alpha and p_hi = m*(y // b) - e*beta, where alpha and
+    beta (each 0 or 1) are the drops in ceil(y/w) and y // b from y to
+    y - 1.  The first three tests are each a*e <= c, an interval of e
+    with least C0.  The last first holds at max(C0, b*ceil(C0/top)): for
+    C0 <= C < b*ceil(C0/top), ceil(C/top) stays ceil(C0/top) > C // b.
 
     Lemma: with j = k // m, G' = k mod m, C' = max(m*n - m*j*(b+1), G'*b),
     (b, C', G') is accepted; here 1 <= b <= m-1 and j >= 1.  As w grows,
@@ -140,28 +149,40 @@ def _scatter_layout(p: Params, k: int) -> tuple[int, int, int]:
     take r = 1.  By k*b <= m*n every row keeps j*b to j*(b+1) cells, so
     p_lo <= m*j = k - G' <= p_hi.  By m*n <= k*(b+1), G'*b <= C' <=
     G'*(b+1), and b+1 <= m, so ceil(C' / min(w, m)) <= G' <= C' // b.  By
-    m*j >= k-m+1 and k*(b+1) > m*n, C' <= (m-1)(b+1) - 1, which bounds
-    every C the scan visits.  Hence b needs no search, and the raise
-    below is unreachable; it stays as a self-check.
+    m*j >= k-m+1 and k*(b+1) > m*n, C' <= (m-1)(b+1) - 1, so the least C
+    lies in a block q <= b.  Hence b needs no search, at most b + 1
+    blocks are solved, and the raise below is unreachable; it stays as a
+    self-check.
 
-    G <= k mod m < n, so the scan needs no G <= n test: the G it takes at
-    C is G(C) = max(ceil(C / min(w, m)), k - p_hi(C)), which never falls
-    as C grows, since each further donated cell lowers one row's kept
-    count by 1 and so never raises p_hi.  The scan stops at some C <= C',
-    and both terms of G(C') are at most G' by the lemma.
+    G <= k mod m < n, so the solve needs no G <= n test: the G taken at
+    C is G(C) = max(ceil(C/top), k - p_hi(C)), which never falls as C
+    grows, since each further donated cell lowers one row's kept count
+    by 1 and so never raises p_hi.  The least C is at most C', and both
+    terms of G(C') are at most G' by the lemma.
     """
     m, n, r = p.m, p.n, p.r
     b = m * n // k
     w = b + r
-    for cells in range(m * n + 1):
-        y, e = n - cells // m, cells % m
-        p_lo = (m - e) * ceil_div(y, w) + e * ceil_div(y - 1, w)
-        p_hi = (m - e) * (y // b) + e * ((y - 1) // b)
-        g_hi = min(cells // b, k - p_lo)  # G's upper bounds
-        if k - p_hi <= g_hi:
-            col_cls = max(ceil_div(cells, min(w, m)), k - p_hi)
-            if col_cls <= g_hi:
-                return b, cells, col_cls
+    top = min(w, m)
+    for q in range(b + 1):
+        y = n - q
+        lo, hi = ceil_div(y, w), y // b
+        alpha, beta = lo - ceil_div(y - 1, w), hi - (y - 1) // b
+        first, last = 0, m - 1  # the e that pass the three linear tests
+        for a, c in (
+            (beta - alpha, m * (hi - lo)),  # p_lo <= p_hi
+            (b * beta - 1, q * m - b * (k - m * hi)),  # b*(k - p_hi) <= C
+            (1 - top * alpha, top * (k - m * lo) - q * m),  # C <= top*(k - p_lo)
+        ):
+            if a > 0:
+                last = min(last, c // a)
+            elif a < 0:
+                first = max(first, ceil_div(c, a))
+            elif c < 0:
+                last = -1
+        cells = max(q * m + first, b * ceil_div(q * m + first, top))
+        if cells <= q * m + last:
+            return b, cells, max(ceil_div(cells, top), k - m * hi + (cells - q * m) * beta)
     raise InternalCheckError(
         f"no scatter layout found for {p}, k={k}; "
         f"the decision rule said this instance is colorable"
@@ -186,8 +207,11 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
       from the walk's position to m, and every z_j <= m.
     * Each row takes the least class count its kept cells allow; the
       other k - G row classes are dealt round-robin, lowest row first,
-      up to kept // b per row (no cap when b = 0).  Each row splits its
-      kept cells near-evenly, in column order, into sizes in [b, b+r].
+      up to kept // b per row (no cap when b = 0).  The rows form at most
+      two runs of equal kept counts, so the deal is solved per run: T
+      whole rounds give each row min(room, T) more, and the last, partial
+      round one more to the lowest rows with room left.  Each row splits
+      its kept cells near-evenly, in column order, into sizes in [b, b+r].
     * The rows' cells are one stream over a row-major mask of m*n bytes,
       cleared at donor cells by strided slices, and each run of equal
       row class sizes is one ``islice(zip(*[stream] * size), many)``.
@@ -219,35 +243,45 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         classes.append(tuple(zip(rows, repeat(j))))
         walk = stop % m
 
-    # Row side: distribute the remaining k - col_cls classes over rows,
-    # lowest row index first, within each row's feasible count range.
-    row_cls = [ceil_div(x, w) for x in kept]
-    hi_cnt = [x // b if b else k for x in kept]
-    need = (k - col_cls) - sum(row_cls)
+    # Row side: (kept, class count, rows) segments in row order, at most
+    # two per run of equal rows.  ``active`` rows have room beyond
+    # ``rounds`` whole rounds.
+    runs = []  # (kept, rows, least class count, room for more)
+    for x, run in groupby(kept):
+        least = ceil_div(x, w)
+        runs.append((x, len(list(run)), least, (x // b if b else k) - least))
+    need = (k - col_cls) - sum(rows * least for _, rows, least, _ in runs)
     if need < 0:
         raise InternalCheckError(f"too few row classes needed for {p}, k={k}")
-    while need:
-        before = need
-        for i in range(m):
-            if need and row_cls[i] < hi_cnt[i]:
-                row_cls[i] += 1
-                need -= 1
-        if need == before:
-            raise InternalCheckError(f"row class counts stuck for {p}, k={k}")
+    rounds, active = 0, m
+    for room, rows in sorted((room, rows) for _, rows, _, room in runs):
+        if need < active * (room - rounds):
+            break
+        need -= active * (room - rounds)
+        rounds, active = room, active - rows
+    if need and not active:
+        raise InternalCheckError(f"row class counts stuck for {p}, k={k}")
+    more, partial = divmod(need, active or 1)
+    rounds += more
+    segments = []
+    for x, rows, least, room in runs:
+        c = least + min(room, rounds)
+        first = min(partial, rows) if room > rounds else 0
+        partial -= first
+        segments += (x, c + 1, first), (x, c, rows - first)
     counted = list(map(free.count, repeat(1), range(0, m * n, n), range(n, m * n + 1, n)))
     if counted != kept:
         i = next(i for i, (x, y) in enumerate(zip(counted, kept), start=1) if x != y)
         raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
     stream = compress(product(range(1, m + 1), range(1, n + 1)), free)
-    for (x, c), group in groupby(zip(kept, row_cls)):
+    for x, c, times in segments:
         if not c:  # c = 0 keeps no cell
             continue
         # The near-even cut needs no window check: every plan leaves each
         # row ceil(x/w) <= x // b, c starts at ceil(x/w) and grows only
         # while below x // b, so c*b <= x <= c*w.
         base, extra = divmod(x, c)
-        times = len(list(group))
-        runs = [(base + 1, extra), (base, c - extra)] * times if extra else [(base, c * times)]
-        for size, many in runs:
+        cuts = [(base + 1, extra), (base, c - extra)] * times if extra else [(base, c * times)]
+        for size, many in cuts:
             classes += islice(zip(*[stream] * size), many) if size else repeat((), many)
     return Coloring(m, n, tuple(classes))

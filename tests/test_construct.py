@@ -265,6 +265,49 @@ def test_scatter_layout_lemma_plan_passes_the_judge():
                     assert c.k == k and verify(r, c).valid, (p, k)
 
 
+def reference_scatter_layout(p, k):
+    """The scatter plan found by scanning C from 0 one cell at a time, up
+    to (m-1)(b+1) steps: the tests of _scatter_layout's docstring applied
+    to each C in turn.  construct._scatter_layout solves them per block
+    of m cells instead."""
+    m, n, r = p.m, p.n, p.r
+    b = m * n // k
+    w = b + r
+    for cells in range(m * n + 1):
+        y, e = n - cells // m, cells % m
+        p_lo = (m - e) * ceil_div(y, w) + e * ceil_div(y - 1, w)
+        p_hi = (m - e) * (y // b) + e * ((y - 1) // b)
+        g_hi = min(cells // b, k - p_lo)  # G's upper bounds
+        if k - p_hi <= g_hi:
+            col_cls = max(ceil_div(cells, min(w, m)), k - p_hi)
+            if col_cls <= g_hi:
+                return b, cells, col_cls
+    raise InternalCheckError(f"no scatter layout found for {p}, k={k}")
+
+
+def _scatter_instances():
+    for m in range(2, 21):
+        for n in range(m, 21):
+            for r in range(1, 6):
+                for k in range(n + 1, m * n + 1):
+                    yield Params(m, n, r), k
+    rng = random.Random(25)
+    for _ in range(3000):
+        m = rng.randint(2, 300)
+        n = rng.randint(m, 400)
+        yield Params(m, n, rng.randint(1, 9)), rng.randint(n + 1, m * n)
+    yield Params(1000, 1000, 1), 1500
+    yield Params(1000, 1000, 3), 1100
+
+
+def test_scatter_layout_matches_the_scan():
+    count = 0
+    for p, k in _scatter_instances():
+        assert _scatter_layout(p, k) == reference_scatter_layout(p, k), (p, k)
+        count += 1
+    assert count == 106_077
+
+
 def test_realizer_refuses_more_column_classes_than_columns():
     # Column class j fills column j, so G = n + 1 would clear column
     # n + 1's donor cells in the next row's stretch of the kept-cell mask.
@@ -397,8 +440,10 @@ def test_witness_classes_are_exact_tuples_of_cell_pairs():
 
 def reference_realize(p, k, b, cells, col_cls):
     """The plan (b, C, G) placed one donor cell and one class at a time:
-    per-row sets of donated columns, one islice per class.  Same contract
-    as construct._realize, which cuts the same classes in runs."""
+    per-row sets of donated columns, row classes dealt round-robin one
+    at a time, one islice per class.  Same contract as
+    construct._realize, which deals in whole rounds and cuts the same
+    classes in runs."""
     m, n, r = p.m, p.n, p.r
     w = b + r
     if not (0 <= col_cls and col_cls * b <= cells <= m * n):

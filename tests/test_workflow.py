@@ -55,13 +55,20 @@ def test_a_push_or_pull_request_runs_the_mutants_once():
 
 def test_the_quick_job_writes_a_witness_file_and_verifies_it():
     # Through the installed console script on both legs: the only run of
-    # color --out's file write on 3.10.
+    # color --out's file write on 3.10, once small and once at the
+    # 10^6-cell input limit, a scatter plan.
     quick = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())["jobs"]["quick"]
     steps = [step for step in quick["steps"] if "run" in step]
     runs = [step["run"] for step in steps]
-    at = runs.index("equicolor color -m 3 -n 7 -r 2 -k 5 --out w.txt")
-    assert runs[at + 1] == 'equicolor verify -r 2 w.txt | grep -x "valid: true"'
-    assert "if" not in steps[at] and "if" not in steps[at + 1]
+    for color, check in [
+        ("equicolor color -m 3 -n 7 -r 2 -k 5 --out w.txt",
+         'equicolor verify -r 2 w.txt | grep -x "valid: true"'),
+        ("equicolor color -m 1000 -n 1000 -r 1 -k 1500 --out big.txt",
+         'equicolor verify -r 1 big.txt | grep -x "valid: true"'),
+    ]:
+        at = runs.index(color)
+        assert runs[at + 1] == check
+        assert "if" not in steps[at] and "if" not in steps[at + 1]
 
 
 def test_the_quick_job_runs_the_vertex_oracle_through_the_console_script():

@@ -80,6 +80,11 @@ MUTANTS = (
            "min(w, m)", "w", CONSTRUCT),
     Mutant("base-size-one-lower-when-exact", "construct.py", "_scatter_layout",
            "m * n // k", "(m * n - 1) // k", CONSTRUCT),
+    Mutant("least-offset-rounded-down", "construct.py", "_scatter_layout",
+           "ceil_div(c, a)", "c // a", CONSTRUCT),
+    Mutant("partial-round-to-highest-rows", "construct.py", "_realize",
+           "(x, c + 1, first), (x, c, rows - first)",
+           "(x, c, rows - first), (x, c + 1, first)", CONSTRUCT),
     Mutant("imbalance-unchecked", "grid.py", "verify", "hi - lo > r", "False", GRID),
     Mutant("partition-blind-to-double-cover", "grid.py", "verify",
            "counts.count(1) != m * n", "0 in counts", GRID),
