@@ -142,8 +142,7 @@ def gamma(p: Params) -> GammaResult:
     """min(n - r*(n // (m+r)), m*ceil(n / (m+r))), with the winning side.
 
     Requires m >= 2.  gamma is the point from which every larger class
-    count is achievable for K_m x K_n; it always satisfies m <= gamma and,
-    when m <= n, gamma <= n.
+    count is achievable for K_m x K_n; for m <= n, m <= gamma <= n.
     """
     if p.m < 2:
         raise ParameterDomainError(f"gamma requires m >= 2, got m={p.m}")

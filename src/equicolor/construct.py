@@ -271,8 +271,7 @@ def _realize(p: Params, k: int, b: int, cells: int, col_cls: int) -> Coloring:
         segments += (x, c + 1, first), (x, c, rows - first)
     counted = list(map(free.count, repeat(1), range(0, m * n, n), range(n, m * n + 1, n)))
     if counted != kept:
-        i = next(i for i, (x, y) in enumerate(zip(counted, kept), start=1) if x != y)
-        raise InternalCheckError(f"kept-cell mismatch in row {i} for {p}")
+        raise InternalCheckError(f"kept-cell mismatch for {p}, k={k}")
     stream = compress(product(range(1, m + 1), range(1, n + 1)), free)
     for x, c, times in segments:
         if not c:  # c = 0 keeps no cell

@@ -28,13 +28,14 @@ static per-class size window [ceil(mn/k) - r, floor(mn/k) + r] (any valid
 coloring has max >= ceil(mn/k) and min <= floor(mn/k), so every final
 size lies in that window), the search tracks the running maximum class
 size, a lower bound on cells still needed to lift every class to the
-smallest permissible final size, and (in the default row-major order) the
-row-boundary prune: a class not confined to one column never grows once
-its row is finished.  Symmetry breaking is the canonical one: a cell may
-open class c only when classes 1..c-1 are already non-empty, so the
-placement loop ends with the single next class.  None of this depends on
-which branch is explored first, so neither does the verdict depend on the
-cell order; the test suite checks that under row and column relabelings.
+smallest permissible final size, and the row-boundary prune: a class not
+confined to one column never grows once its row is finished.  Symmetry
+breaking is the canonical one: a cell may open class c only when classes
+1..c-1 are already non-empty, so the placement loop ends with the single
+next class.  Each prune refutes only partial colorings that no valid
+coloring extends, so none moves the verdict; the test suite checks it
+against a test-only search without the row-boundary prune, run in
+relabelled and reversed cell orders.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def oracle_kronecker_colorable(
             or the search visits more than budget.node_limit nodes.
     """
     require_int("k", k, 1)
-    total = p.m * p.n
+    m, n, r, node_limit = p.m, p.n, p.r, budget.node_limit
+    total = m * n
     if total > budget.max_vertices:
         raise BudgetExceededError(
             f"m*n = {total} exceeds max_vertices = {budget.max_vertices}",
@@ -100,34 +102,9 @@ def oracle_kronecker_colorable(
         raise BudgetExceededError(
             f"k = {k} exceeds max_k = {budget.max_k}", "max_k"
         )
-    return _search_kronecker(p.m, p.n, p.r, k, budget.node_limit, None)
-
-
-def _search_kronecker(
-    m: int,
-    n: int,
-    r: int,
-    k: int,
-    node_limit: int,
-    order: list[tuple[int, int]] | None,
-) -> bool:
-    """Core backtracking search.  One loop places each cell: it joins each
-    open class whose members all share its row (``fixrow``) or its column
-    (``fixcol``) in turn and last, while fewer than k are open, a new one.
-
-    ``order`` overrides the cell enumeration order (used by tests to
-    check invariance under relabelings); None means row-major, which
-    additionally enables a row-boundary prune that relies on finished
-    rows staying finished.
-    """
-    total = m * n
     lo = max(0, ceil_div(total, k) - r)
     hi = total // k + r
-
-    row_major = order is None
-    if order is None:
-        order = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-
+    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     sizes = [0] * k
     fixrow = [0] * k  # shared row of all members, 0 once mixed
     fixcol = [0] * k  # shared column of all members, 0 once mixed
@@ -151,12 +128,13 @@ def _search_kronecker(
         remaining = total - pos
         if deficit > remaining:
             return False
-        vi, vj = order[pos]
+        vi, vj = cells[pos]
 
-        if row_major and vj == 1 and vi > 1:
+        if vj == 1:
             # Rows 1..vi-1 are fully assigned.  A class confined to one
             # of them is frozen; one confined to a column can still gain
-            # at most the unassigned cells of that column.
+            # at most the unassigned cells of that column.  At the first
+            # cell no class is open and capacity = k*hi >= m*n: no prune.
             avail = m - vi + 1
             capacity = (k - opened) * hi
             for ci in range(opened):

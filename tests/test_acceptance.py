@@ -6,8 +6,9 @@ criteria use explicit generous budgets so that no check can be silently
 skipped: a budget trip is itself recorded and fails the criterion.
 
 The slowest test here is the full constructor sweep (several minutes);
-everything else is seconds.  Run only the quick part of the suite with
-``pytest --ignore=tests/test_acceptance.py`` during development.
+everything else is seconds.  README's quick suite deselects the three
+slow criteria (the oracle decisions, the oracle thresholds and the
+sweep) and runs the rest, in well under a second.
 """
 
 import math

@@ -9,7 +9,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equicolor import closed_forms
@@ -109,12 +109,15 @@ def test_gamma_trichotomy_matches_residue_rule(m, n, r):
 
 
 @given(m=st.integers(2, 30), n=st.integers(2, 120), r=st.integers(1, 8))
+@example(m=5, n=2, r=1)  # gamma = min(2, 5) = 2 < m
 def test_gamma_value_is_the_min_of_both_sides(m, n, r):
     g = gamma(Params(m, n, r))
     s = n // (m + r)
     assert g.value == min(n - r * s, m * ceil_div(n, m + r))
     if m <= n:
         assert m <= g.value <= n
+    else:  # gamma <= n - r*s <= n < m, so m <= gamma needs m <= n
+        assert g.value <= n < m
 
 
 # ------------------------------------------------------------

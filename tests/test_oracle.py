@@ -24,7 +24,6 @@ from equicolor.errors import BudgetExceededError, ParameterDomainError
 from equicolor.oracle import (
     DEFAULT_BUDGET,
     OracleBudget,
-    _search_kronecker,
     oracle_kronecker_colorable,
     oracle_multipartite_colorable,
     oracle_threshold,
@@ -123,9 +122,10 @@ def test_oracle_kronecker_accepts_both_orientations():
 def test_oracle_kronecker_node_counts_are_frozen(m, n, r, k, verdict, nodes):
     # The search visits exactly `nodes` nodes: a weakened prune visits
     # more and trips the smaller limit.
-    assert _search_kronecker(m, n, r, k, nodes, None) is verdict
+    p = Params(m, n, r)
+    assert oracle_kronecker_colorable(p, k, OracleBudget(node_limit=nodes)) is verdict
     with pytest.raises(BudgetExceededError) as exc:
-        _search_kronecker(m, n, r, k, nodes - 1, None)
+        oracle_kronecker_colorable(p, k, OracleBudget(node_limit=nodes - 1))
     assert exc.value.limit_name == "node_limit"
 
 
@@ -133,7 +133,10 @@ def reference_search_kronecker(m, n, r, k, order):
     """The vertex search with each class's member list in place of its
     shared row: a cell joins a class only after a pairwise scan of the
     members against the adjacency rule.  Otherwise the same search, prune
-    for prune and in the same class order.  Returns (verdict, nodes)."""
+    for prune and in the same class order.  ``order`` (None for row-major)
+    sets the cell order; any other order turns the row-boundary prune off,
+    as that prune needs finished rows to stay finished.  Returns (verdict,
+    nodes)."""
     total = m * n
     lo = max(0, ceil_div(total, k) - r)
     hi = total // k + r
@@ -200,8 +203,9 @@ def reference_search_kronecker(m, n, r, k, order):
 
 
 def test_search_matches_the_member_list_reference_node_for_node():
-    # Same verdict and exactly the same node count, in row-major order
-    # (with the row-boundary prune) and in one relabelled order (without).
+    # Same verdict and exactly the same node count in row-major order, the
+    # oracle's own (with the row-boundary prune).  In one relabelled order
+    # the reference runs without that prune and must reach the same verdict.
     rng = random.Random(20261020)
     grids = [(m, n) for m in range(2, 5) for n in range(m, 7) if m * n <= 12]
     assert grids == [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]
@@ -212,14 +216,15 @@ def test_search_matches_the_member_list_reference_node_for_node():
         rng.shuffle(cols)
         relabelled = [(i, j) for i in rows for j in cols]
         for r in range(1, 4):
+            p = Params(m, n, r)
             for k in range(1, m * n + 2):
-                for order in (None, relabelled):
-                    verdict, nodes = reference_search_kronecker(m, n, r, k, order)
-                    assert _search_kronecker(m, n, r, k, nodes, order) is verdict
-                    with pytest.raises(BudgetExceededError):
-                        _search_kronecker(m, n, r, k, nodes - 1, order)
-                    checked += 1
-    assert checked == 2 * 3 * sum(m * n + 1 for m, n in grids)  # 408
+                verdict, nodes = reference_search_kronecker(m, n, r, k, None)
+                assert oracle_kronecker_colorable(p, k, OracleBudget(node_limit=nodes)) is verdict
+                with pytest.raises(BudgetExceededError):
+                    oracle_kronecker_colorable(p, k, OracleBudget(node_limit=nodes - 1))
+                assert reference_search_kronecker(m, n, r, k, relabelled)[0] is verdict
+                checked += 1
+    assert checked == 3 * sum(m * n + 1 for m, n in grids)  # 204
 
 
 def test_oracle_imports_only_params_and_ceil_div_from_closed_forms():
@@ -239,26 +244,26 @@ def test_oracle_imports_only_params_and_ceil_div_from_closed_forms():
 
 def test_oracle_kronecker_verdict_independent_of_cell_order():
     # Relabeling rows and columns permutes the cell enumeration; the
-    # verdict must not move.  The order hook disables the row-boundary
-    # prune, so this also cross-checks that prune's soundness.
+    # verdict must not move.  The reference runs such orders without the
+    # row-boundary prune, so this also cross-checks that prune's soundness.
     rng = random.Random(20260823)
     cases = [(2, 4, 1), (3, 4, 1), (2, 5, 2), (3, 4, 2), (2, 6, 1)]
     for m, n, r in cases:
         for k in range(1, m * n + 2):
-            base = _search_kronecker(m, n, r, k, 10_000_000, None)
+            base = oracle_kronecker_colorable(Params(m, n, r), k)
             for _ in range(3):
                 rows = list(range(1, m + 1))
                 cols = list(range(1, n + 1))
                 rng.shuffle(rows)
                 rng.shuffle(cols)
                 order = [(i, j) for i in rows for j in cols]
-                assert _search_kronecker(m, n, r, k, 10_000_000, order) == base
+                assert reference_search_kronecker(m, n, r, k, order)[0] == base
             reversed_order = [
                 (i, j)
                 for i in range(m, 0, -1)
                 for j in range(n, 0, -1)
             ]
-            assert _search_kronecker(m, n, r, k, 10_000_000, reversed_order) == base
+            assert reference_search_kronecker(m, n, r, k, reversed_order)[0] == base
 
 
 # ------------------------------------------------------------
