@@ -138,6 +138,11 @@ class GammaResult(_Record):
         _set(self, "residue", residue)  # t = n mod (m+r), determines the trichotomy
 
 
+def _gamma_sides(p: Params) -> tuple[int, int]:
+    """gamma's two sides, n - r*(n // (m+r)) and m*ceil(n / (m+r))."""
+    return p.n - p.r * (p.n // (p.m + p.r)), p.m * ceil_div(p.n, p.m + p.r)
+
+
 def gamma(p: Params) -> GammaResult:
     """min(n - r*(n // (m+r)), m*ceil(n / (m+r))), with the winning side.
 
@@ -146,9 +151,7 @@ def gamma(p: Params) -> GammaResult:
     """
     if p.m < 2:
         raise ParameterDomainError(f"gamma requires m >= 2, got m={p.m}")
-    s = p.n // (p.m + p.r)
-    first = p.n - p.r * s
-    second = p.m * ceil_div(p.n, p.m + p.r)
+    first, second = _gamma_sides(p)
     if first < second:
         tri = Trichotomy.LESS
     elif first == second:
@@ -234,7 +237,7 @@ def threshold_kronecker(p: Params) -> ThresholdResult:
     """
     _require_canonical(p, "threshold_kronecker")
     g = gamma(p)
-    if g.trichotomy is Trichotomy.LESS and not multipartite_verdict(p, g.value - 1)[0]:
+    if g.trichotomy is Trichotomy.LESS and not _multipartite_rule(p, g.value - 1)[0]:
         return ThresholdResult(g.value, ThresholdCase.RESIDUE_SMALL_GAP, None, g)
     # theta_min: the least theta >= 1 passing the theta_balanced test with
     # m * ceil(n / (theta+r)) <= gamma.  That cap holds exactly from
@@ -264,6 +267,11 @@ def multipartite_verdict(p: Params, k: int) -> tuple[bool, str]:
     * ``multipartite-condition-failed``: k >= m and it fails.
     """
     require_int("k", k, 1)
+    return _multipartite_rule(p, k)
+
+
+def _multipartite_rule(p: Params, k: int) -> tuple[bool, str]:
+    """:func:`multipartite_verdict` for a k already checked."""
     if p.m == 1:
         return True, REASON_EDGELESS
     if k < p.m:
@@ -296,9 +304,9 @@ def kronecker_verdict(p: Params, k: int) -> tuple[bool, str]:
     require_int("k", k, 1)
     if p.m >= 2:
         _require_canonical(p, "kronecker_verdict")
-        if k >= gamma(p).value:
+        if k >= min(_gamma_sides(p)):
             return True, REASON_AT_OR_ABOVE_GAMMA
-    return multipartite_verdict(p, k)
+    return _multipartite_rule(p, k)
 
 
 def kronecker_colorable(p: Params, k: int) -> bool:

@@ -32,8 +32,9 @@ then k against n and m*n, and :func:`_realize` places the classes:
   k - m*n classes stay empty, last (the size gap is 1 <= r).
 
 Coordinates follow equicolor.grid: rows 1..m, columns 1..n.  The realizer
-runs Python once per column, per group of equal rows and per run of equal
-class sizes, never per cell or per class, and keeps a mask of m*n bytes.
+runs Python once per column class and per run of equal class sizes (one
+per group of equal rows that split evenly, else two per row), never per
+cell, and keeps a mask of m*n bytes.
 """
 
 from __future__ import annotations
@@ -69,14 +70,7 @@ def color_multipartite(p: Params, k: int) -> Coloring:
         NotColorableError: when ``multipartite_verdict(p, k)`` is false;
             the exception's ``reason`` is the verdict's tag.
     """
-    ok, reason = multipartite_verdict(p, k)
-    if not ok:
-        raise NotColorableError(
-            f"K_{{{p.m}({p.n})}} has no {p.r}-equitable {k}-coloring "
-            f"({reason})",
-            reason,
-        )
-    return _realize(p, k, p.n // ceil_div(k, p.m), 0, 0)
+    return _witness(p, k, *multipartite_verdict(p, k), "K_{{{m}({n})}}")
 
 
 # ============================================================
@@ -96,16 +90,20 @@ def color_kronecker(p: Params, k: int) -> Coloring:
         NotColorableError: when ``kronecker_colorable(p, k)`` is false;
             the exception's ``reason`` names the failed condition.
     """
-    ok, reason = kronecker_verdict(p, k)
+    return _witness(p, k, *kronecker_verdict(p, k), "K_{m} x K_{n}")
+
+
+def _witness(p: Params, k: int, ok: bool, reason: str, graph: str) -> Coloring:
+    """The witness for the verdict (ok, reason), decided once by the caller;
+    ``graph`` names the graph in a refusal, as a template in m and n."""
     if not ok:
         raise NotColorableError(
-            f"K_{p.m} x K_{p.n} has no {p.r}-equitable {k}-coloring "
-            f"({reason})",
+            f"{graph.format(m=p.m, n=p.n)} has no {p.r}-equitable {k}-coloring ({reason})",
             reason,
         )
     if reason != REASON_AT_OR_ABOVE_GAMMA:  # edgeless or multipartite-condition
-        return color_multipartite(p, k)
-    if k <= p.n:
+        plan = (p.n // ceil_div(k, p.m), 0, 0)
+    elif k <= p.n:
         s = p.n // (p.m + p.r)
         s_eff = s + 1 if p.n % (p.m + p.r) > p.m else s
         c = k - p.m * s_eff

@@ -329,6 +329,56 @@ def test_verdicts_check_k_before_the_edgeless_answer():
             verdict(Params(1, 4, 1), 0)
 
 
+def test_kronecker_verdict_says_at_or_above_gamma_exactly_from_gamma():
+    for m in range(2, 9):
+        for n in range(m, 25):
+            for r in range(1, 5):
+                p = Params(m, n, r)
+                g = gamma(p).value
+                for k in range(1, m * n + 2):
+                    reason = kronecker_verdict(p, k)[1]
+                    assert (reason == "at-or-above-gamma") == (k >= g), (p, k)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Params(7, 123_456_789, 3),
+        Params(12, 10**18 + 7, 5),
+        Params(2, 99_999, 1),
+        Params(3, 10**4299 + 11, 2),  # n of 4,300 digits
+        Params(10**20, 7 * 10**4298 + 5, 10**10),
+        Params(10**4299, 10**4299 + 1, 1),  # m and n of 4,300 digits
+    ],
+    ids=["9-digits", "19-digits", "5-digits", "4300-digits", "wide-m-and-r", "4300-digit-m"],
+)
+def test_kronecker_verdict_gamma_boundary_on_long_n(p):
+    g = gamma(p).value
+    assert kronecker_verdict(p, g) == (True, "at-or-above-gamma")
+    # Below gamma the answer is K_{m(n)}'s, tag and all.
+    assert kronecker_verdict(p, g - 1) == multipartite_verdict(p, g - 1)
+    assert kronecker_verdict(p, g - 1)[1] != "at-or-above-gamma"
+
+
+@pytest.mark.parametrize(
+    "p, k, message",
+    [
+        (Params(3, 7, 2), 0, "k must be >= 1, got 0"),
+        (Params(3, 7, 2), -4, "k must be >= 1, got -4"),
+        (Params(3, 7, 2), True, "k must be an int, got True"),
+        (Params(3, 7, 2), 5.0, "k must be an int, got 5.0"),
+        (Params(7, 3, 2), 5,
+         "kronecker_verdict requires the canonical orientation m <= n, got m=7 n=3"),
+        (Params(7, 3, 2), False, "k must be an int, got False"),  # k is checked first
+    ],
+)
+def test_kronecker_verdict_refusals_are_frozen(p, k, message):
+    with pytest.raises(ParameterDomainError) as exc:
+        kronecker_verdict(p, k)
+    assert type(exc.value) is ParameterDomainError
+    assert str(exc.value) == message
+
+
 @given(
     m=st.integers(2, 10),
     nd=st.integers(0, 30),

@@ -4,7 +4,6 @@ that their per-cell reference realizer uses."""
 import gc
 import hashlib
 import random
-import sys
 from itertools import filterfalse, islice, repeat
 
 import pytest
@@ -160,6 +159,29 @@ def test_color_kronecker_below_gamma_delegates_to_multipartite():
     c = color_kronecker(Params(3, 7, 2), 3)
     assert c.sizes() == [7, 7, 7]
     assert all(len({v[0] for v in cls}) == 1 for cls in c.classes)
+
+
+def test_each_constructor_decides_once(monkeypatch):
+    # Below gamma the Kronecker witness is K_{m(n)}'s rows plan, built
+    # from the Kronecker verdict alone: K_{m(n)} is not decided again.
+    calls = []
+
+    def counted(name):
+        real = getattr(construct, name)
+
+        def verdict(p, k):
+            calls.append(name)
+            return real(p, k)
+
+        return verdict
+
+    for name in ("kronecker_verdict", "multipartite_verdict"):
+        monkeypatch.setattr(construct, name, counted(name))
+    below = color_kronecker(Params(3, 7, 2), 3)
+    assert calls == ["kronecker_verdict"]
+    calls.clear()
+    assert color_multipartite(Params(3, 7, 2), 3) == below
+    assert calls == ["multipartite_verdict"]
 
 
 def test_color_kronecker_refusals_carry_reasons():
@@ -567,40 +589,10 @@ def test_realizer_matches_the_per_cell_reference(monkeypatch):
 # ------------------------------------------------------------
 
 
-def construct_line_events(call, *args):
-    """Line events in equicolor/construct.py during ``call(*args)``, per
-    function; a generator expression's lines count toward the function
-    that runs it.  The count does not depend on the machine's speed."""
-    counts = {}
-
-    def trace(frame, event, arg):
-        if frame.f_code.co_filename != construct.__file__:
-            return None
-        owner = frame
-        while owner.f_code.co_name.startswith("<"):
-            owner = owner.f_back
-        name = owner.f_code.co_name
-
-        def local(frame, event, arg):
-            if event == "line":
-                counts[name] = counts.get(name, 0) + 1
-            return local
-
-        return local
-
-    before = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        call(*args)
-    finally:
-        sys.settrace(before)
-    return counts
-
-
 @pytest.mark.parametrize(
     "m, n, r, k", [(10, 10, 1, 15), (100, 100, 1, 150), (1000, 1000, 1, 1500)]
 )
-def test_scatter_cost_is_per_column_class_and_per_block(m, n, r, k):
+def test_scatter_cost_is_per_column_class_and_per_block(m, n, r, k, line_events):
     # README: the realizer runs Python "never per cell or per class", and
     # the plan is solved in "the first b + 1 blocks".  Measured: _realize
     # takes 10*G + 55 line events here (one class per row, so no row adds
@@ -610,15 +602,32 @@ def test_scatter_cost_is_per_column_class_and_per_block(m, n, r, k):
     b, cells, col_cls = _scatter_layout(p, k)
     blocks = cells // m + 1
     assert blocks <= b + 1
-    counts = construct_line_events(color_kronecker, p, k)
+    counts = line_events(construct, color_kronecker, p, k)
     assert 10 * col_cls <= counts["_realize"] <= 11 * col_cls + 64
     assert counts["_scatter_layout"] <= 25 * blocks + 10
 
 
-def test_rows_plan_cost_does_not_grow_with_the_grid():
+def test_rows_plan_cost_does_not_grow_with_the_grid(line_events):
     # Every row of K_{1000(1000)} split into two classes of 500: the
     # rows plan, with no column class, takes a few dozen line events for
     # 10^6 cells and 2,000 classes (measured: 55 in _realize).
-    counts = construct_line_events(color_multipartite, Params(1000, 1000, 1), 2000)
+    counts = line_events(construct, color_multipartite, Params(1000, 1000, 1), 2000)
     assert counts["_realize"] <= 64
     assert sum(counts.values()) <= 80
+
+
+@pytest.mark.parametrize(
+    "m, n, r, k", [(30, 40, 5, 700), (1000, 1000, 3, 1100), (300, 400, 5, 7000)]
+)
+def test_uneven_rows_cost_four_line_events_each(m, n, r, k, line_events):
+    # README: the cut runs once per run of equal class sizes, and a row
+    # whose classes split unevenly holds two runs, so _realize is linear
+    # in m as well as in G, with slope 4 per row.  Measured: 4*m + 51 at
+    # (30, 40, 5, 700), where G = 0 and every row splits unevenly;
+    # 10*G + 83 at (1000, 1000, 3, 1100), where few rows do; and
+    # 10*G + 4*m + 77 at (300, 400, 5, 7000).
+    _, _, col_cls = _scatter_layout(Params(m, n, r), k)
+    counts = line_events(construct, color_kronecker, Params(m, n, r), k)
+    assert counts["_realize"] <= 10 * col_cls + 4 * m + 96
+    if col_cls == 0:
+        assert counts["_realize"] >= 4 * m

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicolor import files
-from equicolor.closed_forms import Params
+from equicolor.closed_forms import Params, ceil_div
 from equicolor.construct import color_kronecker
 from equicolor.errors import ColoringFileError, NotColorableError
 from equicolor.files import HEADER, decode_ascii, format_coloring, parse_coloring
@@ -454,6 +454,18 @@ def test_one_long_line_parses_in_bounded_memory():
         tracemalloc.stop()
     assert parsed.sizes() == [n] and parsed.classes[0][-1] == (1, n)
     assert peak <= 1.5 * retained
+
+
+@pytest.mark.parametrize("m, n", [(100, 100), (1, 10_000)])
+def test_parse_cost_is_per_block_not_per_line(m, n, line_events):
+    # The module docstring: the class lines are read in blocks of about
+    # _BLOCK_CHARS characters, with no Python step per line.  Measured on
+    # these 10^4-line singletons files (17 and 19 blocks): about 44 line
+    # events per block, 759 and 882 in all.
+    text = format_coloring(color_kronecker(Params(m, n, 1), m * n))
+    blocks = ceil_div(len(text), files._BLOCK_CHARS)
+    counts = line_events(files, parse_coloring, text)
+    assert sum(counts.values()) <= 50 * blocks + 50 < m * n
 
 
 @pytest.mark.parametrize("m", [1, 10**9])

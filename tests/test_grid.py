@@ -473,6 +473,27 @@ def test_verify_matches_nested_loop_reference_on_random_colorings(case):
     assert outcome(verify, r, coloring) == outcome(reference_verify, r, coloring)
 
 
+@pytest.mark.parametrize(
+    "m, n, r, k",
+    [(10, 10, 1, 10), (100, 100, 1, 150), (30, 40, 5, 700), (100, 100, 1, 10_000),
+     (100, 100, 1, 10_050)],
+)
+def test_verify_cost_is_per_cell_and_per_class(m, n, r, k, line_events):
+    # The docstring: the partition is counted in one pass over the cells
+    # and independence judged in one pass per class of two or more cells.
+    # Measured: verify takes 3 line events per cell, 3 per class and 1
+    # more per class of two or more cells, plus 13; the pair search 5 per
+    # cell and 7 per class it is given, and never runs on singletons or
+    # empty classes (the last two cases).
+    coloring = color_kronecker(Params(m, n, r), k)
+    multi = [len(cls) for cls in coloring.classes if len(cls) >= 2]
+    counts = line_events(grid, verify, r, coloring)
+    assert counts["verify"] <= 3 * m * n + 3 * k + len(multi) + 16
+    assert counts.get("_first_adjacent_pair", 0) <= 5 * sum(multi) + 7 * len(multi)
+    if not multi:
+        assert "_first_adjacent_pair" not in counts
+
+
 def test_verify_is_linear_in_one_long_class():
     # A single 100,000-cell row: the pairwise scan needs minutes here.
     coloring = color_kronecker(Params(1, 100_000, 1), 1)

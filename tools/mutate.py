@@ -54,10 +54,14 @@ MUTANTS = (
            "ceil_div(p.n, g.value // p.m) - p.r",
            "ceil_div(p.n, g.value // p.m) - p.r + 1", CLOSED_FORMS),
     Mutant("gamma-test-strict", "closed_forms.py", "kronecker_verdict",
-           "k >= gamma(p).value", "k > gamma(p).value", CLOSED_FORMS),
+           "k >= min(_gamma_sides(p))", "k > min(_gamma_sides(p))", CLOSED_FORMS),
+    Mutant("verdict-gamma-larger-side", "closed_forms.py", "kronecker_verdict",
+           "min(_gamma_sides(p))", "max(_gamma_sides(p))", CLOSED_FORMS),
+    Mutant("gamma-second-side-floored", "closed_forms.py", "_gamma_sides",
+           "ceil_div(p.n, p.m + p.r)", "p.n // (p.m + p.r)", CLOSED_FORMS),
     Mutant("orientation-unchecked", "closed_forms.py", "_require_canonical",
            "p.m > p.n", "False", CLOSED_FORMS),
-    Mutant("multipartite-gap-strict", "closed_forms.py", "multipartite_verdict",
+    Mutant("multipartite-gap-strict", "closed_forms.py", "_multipartite_rule",
            "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) <= p.r",
            "ceil_div(p.n, k // p.m) - p.n // ceil_div(k, p.m) < p.r", CLOSED_FORMS),
     Mutant("theta-test-loose", "closed_forms.py", "_least_balanced",
